@@ -70,12 +70,12 @@ func TestAllMethodsRunAndBeatChanceInDomain(t *testing.T) {
 		TarOnly{},
 		SAndT{Seed: 5},
 		&FineTune{Seed: 5, PretrainEpochs: 8, TuneEpochs: 20},
-		CORAL{Seed: 5},
+		&CORAL{Seed: 5},
 		&DANN{Epochs: 8, Seed: 5},
 		NewSCL(8, 5),
 		NewMatchNet(60, 5),
 		NewProtoNet(60, 5),
-		CMT{Seed: 5},
+		&CMT{Seed: 5},
 		ICD{Seed: 5},
 	}
 	for _, m := range methods {
@@ -102,7 +102,7 @@ func TestAdaptiveMethodsBeatSrcOnly(t *testing.T) {
 	tst := driftProblem(240, true, 9)
 
 	srcOnly := f1Of(t, SrcOnly{}, src, sup, tst, quickClf())
-	for _, m := range []Method{SAndT{Seed: 4}, CORAL{Seed: 4}, CMT{Seed: 4}} {
+	for _, m := range []Method{SAndT{Seed: 4}, &CORAL{Seed: 4}, &CMT{Seed: 4}} {
 		f1 := f1Of(t, m, src, sup, tst, quickClf())
 		if f1 <= srcOnly-5 {
 			t.Errorf("%s F1 = %.1f worse than SrcOnly %.1f", m.Name(), f1, srcOnly)
@@ -120,12 +120,12 @@ func TestMethodNamesAndAgnosticism(t *testing.T) {
 		{TarOnly{}, "TarOnly", true},
 		{SAndT{}, "S&T", true},
 		{&FineTune{}, "Fine-tune", false},
-		{CORAL{}, "CORAL", true},
+		{&CORAL{}, "CORAL", true},
 		{&DANN{}, "DANN", false},
 		{NewSCL(1, 0), "SCL", false},
 		{NewMatchNet(1, 0), "MatchNet", false},
 		{NewProtoNet(1, 0), "ProtoNet", false},
-		{CMT{}, "CMT", true},
+		{&CMT{}, "CMT", true},
 		{ICD{}, "ICD", true},
 	}
 	for _, tt := range tests {
@@ -168,7 +168,7 @@ func TestCMTAugmentationHandlesOneShot(t *testing.T) {
 	src := driftProblem(300, false, 13)
 	sup := driftProblem(3, true, 14) // exactly 1 per class
 	tst := driftProblem(120, true, 15)
-	f1 := f1Of(t, CMT{Seed: 9}, src, sup, tst, quickClf())
+	f1 := f1Of(t, &CMT{Seed: 9}, src, sup, tst, quickClf())
 	if f1 < 25 {
 		t.Errorf("CMT 1-shot F1 = %.1f; implausibly low", f1)
 	}
@@ -194,7 +194,7 @@ func TestCMTDeterministicAcrossRuns(t *testing.T) {
 	sup := driftProblem(15, true, 12)
 	tst := driftProblem(90, true, 13)
 	run := func() []int {
-		pred, err := CMT{Seed: 5}.Predict(src, sup, tst, quickClf())
+		pred, err := (&CMT{Seed: 5}).Predict(src, sup, tst, quickClf())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,18 +22,31 @@ type CMT struct {
 	AugPerClass int     // augmented samples per class; default 60
 	Jitter      float64 // component jitter for 1-shot classes; default 0.05
 	Seed        int64
+
+	memo prepMemo
 }
 
-var _ Method = CMT{}
+var _ Method = (*CMT)(nil)
 
 // Name implements Method.
-func (CMT) Name() string { return "CMT" }
+func (*CMT) Name() string { return "CMT" }
 
 // ModelAgnostic implements Method.
-func (CMT) ModelAgnostic() bool { return true }
+func (*CMT) ModelAgnostic() bool { return true }
 
-// Predict implements Method.
-func (m CMT) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+// Predict implements Method. The whitened, augmented training set is
+// prepared once per (source, support, test) and reused across classifiers.
+func (m *CMT) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	p, err := m.memo.get(source, support, test, func() (*prepared, error) {
+		return m.prepare(source, support, test)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.fitPredict(clf, "cmt")
+}
+
+func (m *CMT) prepare(source, support, test *dataset.Dataset) (*prepared, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
@@ -121,10 +134,7 @@ func (m CMT) Predict(source, support, test *dataset.Dataset, clf models.Classifi
 			trainY = append(trainY, c)
 		}
 	}
-	if err := clf.Fit(trainX, trainY, numClassesOf(source, support, test)); err != nil {
-		return nil, fmt.Errorf("baselines: cmt fit: %w", err)
-	}
-	return models.PredictClasses(clf, testX)
+	return &prepared{trainX, trainY, testX, numClassesOf(source, support, test)}, nil
 }
 
 // ICD adapts the invariant-conditional-distribution method of Magliacane et

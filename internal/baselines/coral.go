@@ -18,18 +18,31 @@ type CORAL struct {
 	// automatic value growing as the support set shrinks.
 	Shrinkage float64
 	Seed      int64
+
+	memo prepMemo
 }
 
-var _ Method = CORAL{}
+var _ Method = (*CORAL)(nil)
 
 // Name implements Method.
-func (CORAL) Name() string { return "CORAL" }
+func (*CORAL) Name() string { return "CORAL" }
 
 // ModelAgnostic implements Method.
-func (CORAL) ModelAgnostic() bool { return true }
+func (*CORAL) ModelAgnostic() bool { return true }
 
-// Predict implements Method.
-func (m CORAL) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+// Predict implements Method. The re-coloured training set is prepared once
+// per (source, support, test) and reused across classifiers.
+func (m *CORAL) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	p, err := m.memo.get(source, support, test, func() (*prepared, error) {
+		return m.prepare(source, support, test)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.fitPredict(clf, "coral")
+}
+
+func (m *CORAL) prepare(source, support, test *dataset.Dataset) (*prepared, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
@@ -76,10 +89,7 @@ func (m CORAL) Predict(source, support, test *dataset.Dataset, clf models.Classi
 	// Train on re-colored source plus the raw support samples.
 	trainX := append(transformed, supX...)
 	trainY := append(append([]int(nil), source.Y...), support.Y...)
-	if err := clf.Fit(trainX, trainY, numClassesOf(source, support, test)); err != nil {
-		return nil, fmt.Errorf("baselines: coral fit: %w", err)
-	}
-	return models.PredictClasses(clf, testX)
+	return &prepared{trainX, trainY, testX, numClassesOf(source, support, test)}, nil
 }
 
 // shrunkCovariance returns (1-λ)·Cov + λ·I.

@@ -136,7 +136,7 @@ func table1Roster() []methodSpec {
 			return NewFS(seed)
 		}},
 		{"CMT", "Causal Learning", func(_ Scale, seed int64) baselines.Method {
-			return baselines.CMT{Seed: seed}
+			return &baselines.CMT{Seed: seed}
 		}},
 		{"ICD", "Causal Learning", func(_ Scale, seed int64) baselines.Method {
 			return baselines.ICD{Seed: seed}
@@ -154,7 +154,7 @@ func table1Roster() []methodSpec {
 			return &baselines.FineTune{Seed: seed, PretrainEpochs: sc.FineTuneEpochs, TuneEpochs: 3 * sc.FineTuneEpochs}
 		}},
 		{"CORAL", "Domain Independent", func(_ Scale, seed int64) baselines.Method {
-			return baselines.CORAL{Seed: seed}
+			return &baselines.CORAL{Seed: seed}
 		}},
 		{"DANN", "Domain Independent", func(sc Scale, seed int64) baselines.Method {
 			return &baselines.DANN{Epochs: sc.AdvEpochs, Seed: seed}

@@ -7,6 +7,7 @@ package models
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Kind identifies a classifier family.
@@ -95,6 +96,23 @@ func New(kind Kind, opts Options) (Classifier, error) {
 	}
 }
 
+// FitInputError reports a malformed training matrix: a ragged row (its
+// width differs from row 0's) or a NaN/±Inf feature. Row and Col locate
+// the first offending cell; for a ragged row Col is the first column that
+// only one of the two widths has.
+type FitInputError struct {
+	Row, Col    int
+	Width, Want int     // the row's width and row 0's (equal unless ragged)
+	Value       float64 // the non-finite feature, when not ragged
+}
+
+func (e *FitInputError) Error() string {
+	if e.Width != e.Want {
+		return fmt.Sprintf("models: ragged row %d: %d columns, want %d (column %d)", e.Row, e.Width, e.Want, e.Col)
+	}
+	return fmt.Sprintf("models: non-finite feature %v at row %d column %d", e.Value, e.Row, e.Col)
+}
+
 func validateFit(x [][]float64, y []int, numClasses int) error {
 	if len(x) == 0 {
 		return errors.New("models: empty training set")
@@ -104,6 +122,20 @@ func validateFit(x [][]float64, y []int, numClasses int) error {
 	}
 	if numClasses < 2 {
 		return fmt.Errorf("models: numClasses %d must be >= 2", numClasses)
+	}
+	want := len(x[0])
+	if want == 0 {
+		return errors.New("models: training rows have no features")
+	}
+	for i, row := range x {
+		if len(row) != want {
+			return &FitInputError{Row: i, Col: min(len(row), want), Width: len(row), Want: want}
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return &FitInputError{Row: i, Col: j, Width: want, Want: want, Value: v}
+			}
+		}
 	}
 	for i, v := range y {
 		if v < 0 || v >= numClasses {

@@ -92,6 +92,59 @@ func TestFitValidation(t *testing.T) {
 	}
 }
 
+// TestFitRejectsMalformedRows: every family must refuse ragged rows and
+// non-finite features with a FitInputError naming the offending cell,
+// before any training (boosting used to panic on a ragged row; the others
+// trained silently on both).
+func TestFitRejectsMalformedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	base, y := blobs(12, 3, 2, 3, rng)
+	withRow := func(i int, row []float64) [][]float64 {
+		x := append([][]float64(nil), base...)
+		x[i] = row
+		return x
+	}
+	tests := []struct {
+		name string
+		x    [][]float64
+		want FitInputError
+	}{
+		{"short row", withRow(5, []float64{1, 2}), FitInputError{Row: 5, Col: 2, Width: 2, Want: 3}},
+		{"long row", withRow(7, []float64{1, 2, 3, 4}), FitInputError{Row: 7, Col: 3, Width: 4, Want: 3}},
+		{"empty row", withRow(1, []float64{}), FitInputError{Row: 1, Col: 0, Width: 0, Want: 3}},
+		{"NaN", withRow(3, []float64{0, math.NaN(), 1}), FitInputError{Row: 3, Col: 1, Width: 3, Want: 3, Value: math.NaN()}},
+		{"+Inf", withRow(9, []float64{0, 1, math.Inf(1)}), FitInputError{Row: 9, Col: 2, Width: 3, Want: 3, Value: math.Inf(1)}},
+		{"-Inf", withRow(0, []float64{math.Inf(-1), 1, 2}), FitInputError{Row: 0, Col: 0, Width: 3, Want: 3, Value: math.Inf(-1)}},
+	}
+	for _, kind := range AllKinds() {
+		for _, tt := range tests {
+			c, err := New(kind, Options{Seed: 1, Epochs: 1, Trees: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.Fit(tt.x, y, 2)
+			var fe *FitInputError
+			if !errors.As(err, &fe) {
+				t.Errorf("%s/%s: err = %v; want *FitInputError", kind, tt.name, err)
+				continue
+			}
+			got, want := *fe, tt.want
+			// Compare values by bit pattern so NaN matches NaN.
+			if math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+				t.Errorf("%s/%s: Value %v; want %v", kind, tt.name, got.Value, want.Value)
+			}
+			got.Value, want.Value = 0, 0
+			if got != want {
+				t.Errorf("%s/%s: %+v; want %+v", kind, tt.name, got, want)
+			}
+		}
+		c, _ := New(kind, Options{Seed: 1, Epochs: 1, Trees: 2})
+		if err := c.Fit([][]float64{{}, {}}, []int{0, 1}, 2); err == nil {
+			t.Errorf("%s: zero-width rows accepted", kind)
+		}
+	}
+}
+
 func TestPredictWidthMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, y := blobs(60, 4, 2, 4, rng)

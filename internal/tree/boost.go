@@ -78,9 +78,11 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 		hess[c] = make([]float64, n)
 	}
 
-	// Presort every feature once; each tree's split search scans these
-	// orders with a node-membership filter instead of re-sorting per node.
+	// Presort every feature once; each tree filters these orders to its
+	// round's rows and then partitions them per node (see fitRegressionTree).
 	presorted := presortColumns(x)
+	scratch := newBoostScratch(n, len(x[0]), cfg)
+	treeRng := rand.New(rand.NewSource(0))
 
 	for round := 0; round < cfg.Rounds; round++ {
 		// Softmax gradients/hessians.
@@ -108,19 +110,28 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 		}
 		// Row subsample shared by the round.
 		rows := subsampleRows(n, cfg.Subsample, rng)
+		for _, i := range rows {
+			scratch.inRound[i] = true
+		}
 		roundTrees := make([]*regressionTree, numClasses)
 		for c := 0; c < numClasses; c++ {
+			// Re-seeding one Rand yields the same stream as a fresh
+			// rand.New(rand.NewSource(seed)) without its allocation.
+			treeRng.Seed(rng.Int63())
 			rt := fitRegressionTree(x, presorted, grads[c], hess[c], rows, regTreeConfig{
 				maxDepth:     cfg.MaxDepth,
 				lambda:       cfg.Lambda,
 				colSample:    cfg.ColSample,
 				minChildHess: cfg.MinChildHess,
-				rng:          rand.New(rand.NewSource(rng.Int63())),
-			})
+				rng:          treeRng,
+			}, scratch)
 			roundTrees[c] = rt
 			for i := 0; i < n; i++ {
 				scores[i][c] += cfg.LearningRate * rt.predict(x[i])
 			}
+		}
+		for _, i := range rows {
+			scratch.inRound[i] = false
 		}
 		gb.trees = append(gb.trees, roundTrees)
 	}
@@ -135,11 +146,19 @@ func subsampleRows(n int, frac float64, rng *rand.Rand) []int {
 		}
 		return idx
 	}
+	return rng.Perm(n)[:subsampleSize(n, frac)]
+}
+
+// subsampleSize is the number of rows subsampleRows returns.
+func subsampleSize(n int, frac float64) int {
+	if frac >= 1 {
+		return n
+	}
 	k := int(float64(n) * frac)
 	if k < 1 {
 		k = 1
 	}
-	return rng.Perm(n)[:k]
+	return k
 }
 
 // PredictProba returns softmax probabilities of the boosted scores.
@@ -212,64 +231,189 @@ func presortColumns(x [][]float64) [][]int32 {
 	return out
 }
 
-func fitRegressionTree(x [][]float64, presorted [][]int32, grad, hess []float64, rows []int, cfg regTreeConfig) *regressionTree {
-	t := &regressionTree{}
-	d := len(x[0])
-	nCols := int(float64(d) * cfg.colSample)
+// boostScratch is the split-search working set of one FitGradientBoosting
+// call. It is sized once for the largest tree (every row of the round
+// subsample, every sampled column) and reused by every tree of every round.
+type boostScratch struct {
+	inRound []bool  // per row: in the current round's subsample
+	goLeft  []uint8 // per row: 1 if it goes left of the split being partitioned
+	perm    []int   // column-sample permutation buffer
+
+	// rows holds the tree's rows in subsample order; node segments of it
+	// are stably partitioned left-then-right, so sums over a node visit
+	// rows in the same order as the round's subsample.
+	rows, rowsTmp []int
+	// colRows/colVals hold, for the k-th sampled column, a presorted
+	// segment of m = len(rows) entries at [k*m, (k+1)*m): row indices and
+	// the matching feature values. Node segments of each are partitioned
+	// in step with rows.
+	colRows []int32
+	colVals []float64
+	tmpRows []int32
+	tmpVals []float64
+}
+
+func newBoostScratch(n, d int, cfg BoostConfig) *boostScratch {
+	m := subsampleSize(n, cfg.Subsample)
+	nCols := treeCols(d, cfg.ColSample)
+	return &boostScratch{
+		inRound: make([]bool, n),
+		goLeft:  make([]uint8, n),
+		perm:    make([]int, d),
+		rows:    make([]int, m),
+		rowsTmp: make([]int, m),
+		colRows: make([]int32, nCols*m),
+		colVals: make([]float64, nCols*m),
+		tmpRows: make([]int32, m),
+		tmpVals: make([]float64, m),
+	}
+}
+
+// treeCols is the number of columns each tree samples.
+func treeCols(d int, colSample float64) int {
+	nCols := int(float64(d) * colSample)
 	if nCols < 1 {
 		nCols = 1
 	}
-	cols := cfg.rng.Perm(d)[:nCols]
-	b := &regBuilder{
-		x: x, presorted: presorted, grad: grad, hess: hess,
-		cfg: cfg, cols: cols, tree: t,
-		inNode: make([]bool, len(x)),
+	return nCols
+}
+
+// fitRegressionTree grows one tree on the rows marked in s.inRound (rows
+// lists them in subsample order).
+//
+// Split search runs in O(node rows × sampled columns) per node rather than
+// O(n × sampled columns): the root filters each sampled column's global
+// presorted order to the round's rows, and every split stably partitions
+// each column's node segment into left then right. By induction a node's
+// segment is exactly the global presorted order restricted to the node's
+// rows — the order a scan of the whole presorted column that skips
+// non-members visits them in — so candidates, gradient sums and
+// tie-breaks, and therefore the trees, are bit-identical to that scan
+// (kept as the test-only reference in boost_golden_test.go).
+func fitRegressionTree(x [][]float64, presorted [][]int32, grad, hess []float64, rows []int, cfg regTreeConfig, s *boostScratch) *regressionTree {
+	t := &regressionTree{}
+	d := len(x[0])
+	cols := permInto(cfg.rng, d, s.perm)[:treeCols(d, cfg.colSample)]
+	m := len(rows)
+	for k, f := range cols {
+		segRows := s.colRows[k*m : (k+1)*m]
+		segVals := s.colVals[k*m : (k+1)*m]
+		j := 0
+		for _, r := range presorted[f] {
+			if s.inRound[r] {
+				segRows[j] = r
+				segVals[j] = x[r][f]
+				j++
+			}
+		}
 	}
-	b.build(rows, 0)
+	copy(s.rows[:m], rows)
+	b := &regBuilder{
+		grad: grad, hess: hess, cfg: cfg, cols: cols, m: m, s: s, tree: t,
+	}
+	b.build(0, m, 0)
 	return t
 }
 
 type regBuilder struct {
-	x          [][]float64
-	presorted  [][]int32
 	grad, hess []float64
 	cfg        regTreeConfig
 	cols       []int
+	m          int // rows in the tree; the stride of the column segments
+	s          *boostScratch
 	tree       *regressionTree
-	inNode     []bool // scratch membership mask, maintained around build calls
 }
 
-func (b *regBuilder) build(idx []int, depth int) int {
+// build grows the subtree over scratch positions [lo, hi) and returns its
+// node index.
+func (b *regBuilder) build(lo, hi, depth int) int {
 	var sumG, sumH float64
-	for _, i := range idx {
+	for _, i := range b.s.rows[lo:hi] {
 		sumG += b.grad[i]
 		sumH += b.hess[i]
 	}
-	if depth >= b.cfg.maxDepth || len(idx) < 2 {
+	if depth >= b.cfg.maxDepth || hi-lo < 2 {
 		return b.leaf(sumG, sumH)
 	}
-	feat, thresh, ok := b.bestSplit(idx, sumG, sumH)
+	k, thresh, ok := b.bestSplit(lo, hi, sumG, sumH)
 	if !ok {
 		return b.leaf(sumG, sumH)
 	}
-	var left, right []int
-	for _, i := range idx {
-		if b.x[i][feat] <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
+	nl := b.markSides(k, lo, hi, thresh)
+	if nl == 0 || nl == hi-lo {
 		return b.leaf(sumG, sumH)
 	}
+	b.partition(lo, hi, nl, depth)
+	mid := lo + nl
 	me := len(b.tree.nodes)
-	b.tree.nodes = append(b.tree.nodes, node{feature: feat, thresh: thresh})
-	l := b.build(left, depth+1)
-	r := b.build(right, depth+1)
+	b.tree.nodes = append(b.tree.nodes, node{feature: b.cols[k], thresh: thresh})
+	l := b.build(lo, mid, depth+1)
+	r := b.build(mid, hi, depth+1)
 	b.tree.nodes[me].left = l
 	b.tree.nodes[me].right = r
 	return me
+}
+
+// markSides records in s.goLeft which of the node's rows go left
+// (value <= thresh on the k-th sampled column) and returns their count.
+func (b *regBuilder) markSides(k, lo, hi int, thresh float64) int {
+	base := k * b.m
+	vals := b.s.colVals[base+lo : base+hi]
+	nl := 0
+	for j, r := range b.s.colRows[base+lo : base+hi] {
+		var left uint8
+		if vals[j] <= thresh {
+			left = 1
+		}
+		b.s.goLeft[r] = left
+		nl += int(left)
+	}
+	return nl
+}
+
+// partition stably moves the node's left rows ahead of its right rows, in
+// rows and — unless both children are sure to be leaves, which never
+// search for a split — in every column segment.
+func (b *regBuilder) partition(lo, hi, nl, depth int) {
+	// The loops are branch-free — each element is written to both
+	// destinations and only the matching cursor advances — because the
+	// side of a row is unpredictable. Writing at l is safe: l never
+	// passes the element being read.
+	s := b.s
+	goLeft := s.goLeft
+	l, r := lo, 0
+	for _, i := range s.rows[lo:hi] {
+		g := int(goLeft[i])
+		s.rows[l] = i
+		s.rowsTmp[r] = i
+		l += g
+		r += 1 - g
+	}
+	copy(s.rows[l:hi], s.rowsTmp[:r])
+
+	leafNext := depth+1 >= b.cfg.maxDepth
+	if leafNext || (nl < 2 && hi-lo-nl < 2) {
+		return
+	}
+	tmpRows, tmpVals := s.tmpRows, s.tmpVals
+	for k := range b.cols {
+		base := k * b.m
+		rows := s.colRows[base+lo : base+hi]
+		vals := s.colVals[base+lo : base+hi]
+		l, r := 0, 0
+		for j, i := range rows {
+			v := vals[j]
+			g := int(goLeft[i])
+			rows[l] = i
+			vals[l] = v
+			tmpRows[r] = i
+			tmpVals[r] = v
+			l += g
+			r += 1 - g
+		}
+		copy(rows[l:], tmpRows[:r])
+		copy(vals[l:], tmpVals[:r])
+	}
 }
 
 func (b *regBuilder) leaf(sumG, sumH float64) int {
@@ -278,58 +422,46 @@ func (b *regBuilder) leaf(sumG, sumH float64) int {
 	return len(b.tree.nodes) - 1
 }
 
-// bestSplit maximizes the XGBoost structure gain, scanning each feature's
-// globally presorted order filtered to this node's rows.
-func (b *regBuilder) bestSplit(idx []int, sumG, sumH float64) (int, float64, bool) {
+// bestSplit maximizes the XGBoost structure gain over the node's segment
+// of each sampled column and returns the winning column's position in
+// b.cols.
+func (b *regBuilder) bestSplit(lo, hi int, sumG, sumH float64) (int, float64, bool) {
 	lambda := b.cfg.lambda
+	minHess := b.cfg.minChildHess
 	parent := sumG * sumG / (sumH + lambda)
 	bestGain := 1e-9
-	bestFeat, bestThresh := -1, 0.0
-	nNode := len(idx)
+	bestK, bestThresh := -1, 0.0
 
-	for _, i := range idx {
-		b.inNode[i] = true
-	}
-	defer func() {
-		for _, i := range idx {
-			b.inNode[i] = false
-		}
-	}()
-
-	for _, f := range b.cols {
-		order := b.presorted[f]
+	for k := range b.cols {
+		base := k * b.m
+		rows := b.s.colRows[base+lo : base+hi]
+		vals := b.s.colVals[base+lo : base+hi]
 		var gl, hl float64
-		seen := 0
-		prev := -1 // previous in-node row in sorted order
-		for _, ri32 := range order {
-			i := int(ri32)
-			if !b.inNode[i] {
-				continue
-			}
-			if prev >= 0 {
-				// Candidate cut between prev and i.
-				v, next := b.x[prev][f], b.x[i][f]
-				if v != next && hl >= b.cfg.minChildHess && sumH-hl >= b.cfg.minChildHess {
+		for j, r := range rows {
+			if j > 0 {
+				if sumH-hl < minHess {
+					// hl never decreases (hessians are positive), so no
+					// later cut leaves the right child enough hessian.
+					break
+				}
+				// Candidate cut between the previous row and this one.
+				v, next := vals[j-1], vals[j]
+				if v != next && hl >= minHess {
 					gr := sumG - gl
 					hr := sumH - hl
 					gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent
 					if gain > bestGain {
 						bestGain = gain
-						bestFeat = f
+						bestK = k
 						bestThresh = (v + next) / 2
 					}
 				}
 			}
-			gl += b.grad[i]
-			hl += b.hess[i]
-			prev = i
-			seen++
-			if seen == nNode {
-				break
-			}
+			gl += b.grad[r]
+			hl += b.hess[r]
 		}
 	}
-	return bestFeat, bestThresh, bestFeat >= 0
+	return bestK, bestThresh, bestK >= 0
 }
 
 func (t *regressionTree) predict(row []float64) float64 {
