@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"netdrift/internal/nn"
+	"netdrift/internal/splitmix"
 )
 
 // This file is the adaptation serving hot path. TransformTarget is the
@@ -28,10 +29,7 @@ func SampleSeed(requestSeed int64, i int) int64 {
 	if requestSeed == 0 {
 		return 0
 	}
-	z := uint64(requestSeed) + uint64(i+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := splitmix.Mix(uint64(requestSeed) + uint64(i+1)*splitmix.Gamma)
 	if z == 0 {
 		z = 1 // keep the "pinned noise" sentinel unreachable from nonzero seeds
 	}

@@ -7,6 +7,7 @@ import (
 
 	"netdrift/internal/nn"
 	"netdrift/internal/par"
+	"netdrift/internal/splitmix"
 )
 
 // Deterministic data-parallel training (DESIGN.md §5d).
@@ -45,10 +46,7 @@ const (
 func shardSeed(base int64, step, phase, shard int) int64 {
 	z := uint64(base)
 	for _, k := range [3]uint64{uint64(step + 1), uint64(phase + 1), uint64(shard + 1)} {
-		z += k * 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
+		z = splitmix.Mix(z + k*splitmix.Gamma)
 	}
 	return int64(z)
 }

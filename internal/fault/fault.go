@@ -17,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"netdrift/internal/splitmix"
 )
 
 // ErrInjected is the sentinel wrapped by every injected error, so
@@ -90,11 +92,9 @@ func New(seed int64) *Injector {
 func siteSeed(seed int64, name string) int64 {
 	z := uint64(seed)
 	for _, c := range []byte(name) {
-		z = (z ^ uint64(c)) * 0x9e3779b97f4a7c15
+		z = (z ^ uint64(c)) * splitmix.Gamma
 	}
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(splitmix.Mix(z))
 }
 
 // Set arms (or re-arms) a site. A zero Spec disarms it but keeps its

@@ -113,6 +113,27 @@ func (e *FitInputError) Error() string {
 	return fmt.Sprintf("models: non-finite feature %v at row %d column %d", e.Value, e.Row, e.Col)
 }
 
+// InputWidthError reports a prediction row whose width differs from the
+// width the classifier was trained on.
+type InputWidthError struct {
+	Row         int
+	Width, Want int
+}
+
+func (e *InputWidthError) Error() string {
+	return fmt.Sprintf("models: row %d has %d features, trained on %d", e.Row, e.Width, e.Want)
+}
+
+// checkWidths rejects the first row of x whose width is not want.
+func checkWidths(x [][]float64, want int) error {
+	for i, row := range x {
+		if len(row) != want {
+			return &InputWidthError{Row: i, Width: len(row), Want: want}
+		}
+	}
+	return nil
+}
+
 func validateFit(x [][]float64, y []int, numClasses int) error {
 	if len(x) == 0 {
 		return errors.New("models: empty training set")

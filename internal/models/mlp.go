@@ -52,40 +52,79 @@ func (m *MLPClassifier) PredictProba(x [][]float64) ([][]float64, error) {
 	if m.net == nil {
 		return nil, ErrNotFitted
 	}
-	return softmaxForward(m.net, x, m.in)
+	return predictSoftmax(m.net, x, m.in)
 }
 
 // trainSoftmaxNet runs standard minibatch training with Adam.
 func trainSoftmaxNet(net *nn.Network, x [][]float64, y []int, epochs, batch int, lr float64, rng *rand.Rand) error {
-	opt := nn.NewAdam(lr, 1e-5)
-	params := net.Params()
+	tr := newSoftmaxTrainer(net, x, y, lr)
+	var perm []int
+	var batches [][]int
 	for epoch := 0; epoch < epochs; epoch++ {
-		for _, idx := range nn.Minibatches(len(x), batch, rng) {
-			bx := nn.Gather(x, idx)
-			by := nn.GatherLabels(y, idx)
-			out := net.Forward(bx, true)
-			_, grad, err := nn.SoftmaxCE(out, by)
-			if err != nil {
+		perm, batches = nn.MinibatchesInto(len(x), batch, rng, perm, batches)
+		for _, idx := range batches {
+			if err := tr.step(idx); err != nil {
 				return fmt.Errorf("models: epoch %d: %w", epoch, err)
 			}
-			net.Backward(grad)
-			opt.Step(params)
 		}
 	}
 	return nil
 }
 
-func softmaxForward(net *nn.Network, x [][]float64, wantIn int) ([][]float64, error) {
+// softmaxTrainer is the classifier training step on the flat tensor
+// path: gather the minibatch, forward, softmax cross-entropy, a backward
+// pass that skips the root input gradient, and Adam. Every buffer is
+// reused, so a warm step allocates nothing.
+type softmaxTrainer struct {
+	net    *nn.Network
+	params []*nn.Param
+	opt    *nn.Adam
+	x      [][]float64
+	y      []int
+
+	bx, grad nn.Tensor
+	by       []int
+}
+
+func newSoftmaxTrainer(net *nn.Network, x [][]float64, y []int, lr float64) *softmaxTrainer {
+	return &softmaxTrainer{net: net, params: net.Params(), opt: nn.NewAdam(lr, 1e-5), x: x, y: y}
+}
+
+// step trains on the rows idx of the training set.
+func (tr *softmaxTrainer) step(idx []int) error {
+	bx := nn.GatherInto(&tr.bx, tr.x, idx)
+	tr.by = tr.by[:0]
+	for _, j := range idx {
+		tr.by = append(tr.by, tr.y[j])
+	}
+	out := tr.net.ForwardT(bx, true)
+	if _, err := nn.SoftmaxCET(out, tr.by, &tr.grad); err != nil {
+		return err
+	}
+	tr.net.BackwardParamsT(&tr.grad)
+	tr.opt.Step(tr.params)
+	return nil
+}
+
+// predictSoftmax runs the eval forward of a fitted classifier network
+// through nn.Infer and returns per-row class probabilities. Every row must
+// have the training width.
+func predictSoftmax(net *nn.Network, x [][]float64, wantIn int) ([][]float64, error) {
 	if len(x) == 0 {
 		return nil, nil
 	}
-	if len(x[0]) != wantIn {
-		return nil, fmt.Errorf("models: input width %d, trained on %d", len(x[0]), wantIn)
+	if err := checkWidths(x, wantIn); err != nil {
+		return nil, err
 	}
-	logits := net.Forward(x, false)
-	out := make([][]float64, len(logits))
-	for i, row := range logits {
-		out[i] = nn.Softmax(row)
+	var in nn.Tensor
+	var scr nn.InferScratch
+	logits := nn.Infer(net, in.SetFromRows(x), &scr)
+	cols := logits.Cols()
+	flat := make([]float64, len(x)*cols)
+	out := make([][]float64, len(x))
+	for i := range out {
+		out[i] = flat[i*cols : (i+1)*cols]
+		nn.SoftmaxInto(out[i], logits.Row(i))
 	}
 	return out, nil
 }

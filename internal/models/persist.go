@@ -115,7 +115,7 @@ func (m *MLPClassifier) PredictProbaT(x *nn.Tensor, scr *MLPScratch) (*nn.Tensor
 		return scr.out.Reset(0, 0), nil
 	}
 	if x.Cols() != m.in {
-		return nil, fmt.Errorf("models: input width %d, trained on %d", x.Cols(), m.in)
+		return nil, &InputWidthError{Row: 0, Width: x.Cols(), Want: m.in}
 	}
 	logits := nn.Infer(m.net, x, &scr.infer)
 	out := scr.out.Reset(logits.Rows(), logits.Cols())

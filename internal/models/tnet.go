@@ -18,18 +18,34 @@ import (
 // than a plain MLP (attention-like feature selection, cf. TabNet/TabularNet
 // designs). The rank-R factorization keeps the gate O(d·R) instead of
 // O(d²), which matters on 442-feature telemetry.
+//
+// Every product runs on the nn tile kernel (nn.MatMulAdd/MatMulAddTN) in
+// the gate's defining arithmetic order: u and the du/dW1/dW2 products are
+// axpy-ordered and skip zero v, dz and du terms; z = b + s with s summed
+// sequentially over the rank. Activations and gradients live in
+// layer-owned tensors reused across batches.
 type FeatureGate struct {
 	Dim  int
 	Rank int
 
 	w1, w2, b *nn.Param // w1: Rank×Dim, w2: Dim×Rank
 
-	input [][]float64
-	sig   [][]float64
-	u     [][]float64
+	input    *nn.Tensor // caller-owned; stable between ForwardT and BackwardT
+	w1t, w2t []float64  // W1ᵀ (Dim×Rank) and W2ᵀ (Rank×Dim) for the forward products
+	u        nn.Tensor  // rows × Rank
+	sig      nn.Tensor  // rows × Dim: σ(z)
+	out      nn.Tensor
+	dz, du   nn.Tensor
+	gradIn   nn.Tensor
+
+	legacyIn, legacyGrad nn.Tensor
 }
 
-var _ nn.Layer = (*FeatureGate)(nil)
+var (
+	_ nn.TensorLayer     = (*FeatureGate)(nil)
+	_ nn.Inferencer      = (*FeatureGate)(nil)
+	_ nn.ParamBackwarder = (*FeatureGate)(nil)
+)
 
 // NewFeatureGate creates a gate over dim features with a default rank of
 // min(32, dim).
@@ -44,6 +60,8 @@ func NewFeatureGate(dim int, rng *rand.Rand) *FeatureGate {
 		w1:   nn.NewParam(fmt.Sprintf("gate%d.w1", dim), rank*dim),
 		w2:   nn.NewParam(fmt.Sprintf("gate%d.w2", dim), dim*rank),
 		b:    nn.NewParam(fmt.Sprintf("gate%d.b", dim), dim),
+		w1t:  make([]float64, dim*rank),
+		w2t:  make([]float64, rank*dim),
 	}
 	lim1 := math.Sqrt(6.0 / float64(dim))
 	for i := range g.w1.Data {
@@ -60,91 +78,110 @@ func NewFeatureGate(dim int, rng *rand.Rand) *FeatureGate {
 	return g
 }
 
-// Forward applies the gate to a batch.
-func (g *FeatureGate) Forward(x [][]float64, _ bool) [][]float64 {
+// Forward applies the gate to a batch (slice adapter over ForwardT).
+func (g *FeatureGate) Forward(x [][]float64, train bool) [][]float64 {
+	if len(x) == 0 {
+		return nil
+	}
+	g.legacyIn.SetFromRows(x)
+	return g.ForwardT(&g.legacyIn, train).ToRows()
+}
+
+// Backward propagates through both the multiplicative path and the
+// low-rank gate map (slice adapter over BackwardT).
+func (g *FeatureGate) Backward(gradOut [][]float64) [][]float64 {
+	if len(gradOut) == 0 {
+		return nil
+	}
+	g.legacyGrad.SetFromRows(gradOut)
+	return g.BackwardT(&g.legacyGrad).ToRows()
+}
+
+// ForwardT implements nn.TensorLayer. The gate has no train/eval
+// difference; the input is cached for BackwardT.
+func (g *FeatureGate) ForwardT(x *nn.Tensor, _ bool) *nn.Tensor {
 	g.input = x
-	g.sig = make([][]float64, len(x))
-	g.u = make([][]float64, len(x))
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		u := make([]float64, g.Rank)
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			for m := 0; m < g.Rank; m++ {
-				u[m] += g.w1.Data[m*g.Dim+j] * v
-			}
+	transpose(g.w1t, g.w1.Data, g.Rank, g.Dim)
+	transpose(g.w2t, g.w2.Data, g.Dim, g.Rank)
+	return g.gate(x, g.w1t, g.w2t, &g.u, &g.sig, &g.out)
+}
+
+// InferT implements nn.Inferencer: the forward over arena buffers,
+// including the transposed weight copies, so nothing on the gate is
+// written and concurrent inference is safe.
+func (g *FeatureGate) InferT(x *nn.Tensor, s *nn.InferScratch) *nn.Tensor {
+	w1t := s.Grab().Reset(g.Dim, g.Rank).Data()
+	w2t := s.Grab().Reset(g.Rank, g.Dim).Data()
+	transpose(w1t, g.w1.Data, g.Rank, g.Dim)
+	transpose(w2t, g.w2.Data, g.Dim, g.Rank)
+	return g.gate(x, w1t, w2t, s.Grab(), s.Grab(), s.Grab())
+}
+
+// gate computes u = W1·x (skipping zero inputs), s = W2·u, σ(b + s) into
+// sig and x ⊙ σ into out, and returns out.
+func (g *FeatureGate) gate(x *nn.Tensor, w1t, w2t []float64, u, sig, out *nn.Tensor) *nn.Tensor {
+	rows := x.Rows()
+	nn.MatMulAdd(u.ZeroReset(rows, g.Rank), x, w1t, true)
+	nn.MatMulAdd(sig.ZeroReset(rows, g.Dim), u, w2t, false)
+	out.Reset(rows, g.Dim)
+	for i := 0; i < rows; i++ {
+		row, sr, o := x.Row(i)[:g.Dim], sig.Row(i), out.Row(i)
+		for k, s := range sr {
+			sk := 1 / (1 + math.Exp(-(g.b.Data[k] + s)))
+			sr[k] = sk
+			o[k] = row[k] * sk
 		}
-		z := make([]float64, g.Dim)
-		copy(z, g.b.Data)
-		for k := 0; k < g.Dim; k++ {
-			w2Row := g.w2.Data[k*g.Rank : (k+1)*g.Rank]
-			var s float64
-			for m, um := range u {
-				s += w2Row[m] * um
-			}
-			z[k] += s
-		}
-		s := make([]float64, g.Dim)
-		o := make([]float64, g.Dim)
-		for k := range z {
-			s[k] = 1 / (1 + math.Exp(-z[k]))
-			o[k] = row[k] * s[k]
-		}
-		g.u[i] = u
-		g.sig[i] = s
-		out[i] = o
 	}
 	return out
 }
 
-// Backward propagates through both the multiplicative path and the low-rank
-// gate map.
-func (g *FeatureGate) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := make([][]float64, len(gradOut))
-	for i, gRow := range gradOut {
-		x := g.input[i]
-		s := g.sig[i]
-		u := g.u[i]
-		// dL/dz_k = gRow[k]·x_k·s_k(1-s_k)
-		dz := make([]float64, g.Dim)
-		for k := range dz {
-			dz[k] = gRow[k] * x[k] * s[k] * (1 - s[k])
-			g.b.Grad[k] += dz[k]
+// BackwardT implements nn.TensorLayer: parameter gradients plus the
+// input gradient gi = g⊙s + W1ᵀ·du.
+func (g *FeatureGate) BackwardT(gradOut *nn.Tensor) *nn.Tensor {
+	du := g.backward(gradOut)
+	gi := g.gradIn.Reset(gradOut.Rows(), g.Dim)
+	for i := 0; i < gradOut.Rows(); i++ {
+		gr, sr, o := gradOut.Row(i), g.sig.Row(i), gi.Row(i)
+		for j := range o {
+			o[j] = gr[j] * sr[j]
 		}
-		// du = W2ᵀ·dz; dW2[k][m] = dz_k·u_m
-		du := make([]float64, g.Rank)
-		for k, dzk := range dz {
-			if dzk == 0 {
-				continue
-			}
-			w2Row := g.w2.Data[k*g.Rank : (k+1)*g.Rank]
-			gw2Row := g.w2.Grad[k*g.Rank : (k+1)*g.Rank]
-			for m := 0; m < g.Rank; m++ {
-				du[m] += dzk * w2Row[m]
-				gw2Row[m] += dzk * u[m]
-			}
-		}
-		// dW1[m][j] = du_m·x_j; dx_j += Σ_m du_m·W1[m][j]
-		gi := make([]float64, g.Dim)
-		for j := range gi {
-			gi[j] = gRow[j] * s[j]
-		}
-		for m, dum := range du {
-			if dum == 0 {
-				continue
-			}
-			w1Row := g.w1.Data[m*g.Dim : (m+1)*g.Dim]
-			gw1Row := g.w1.Grad[m*g.Dim : (m+1)*g.Dim]
-			for j := 0; j < g.Dim; j++ {
-				gi[j] += dum * w1Row[j]
-				gw1Row[j] += dum * x[j]
-			}
-		}
-		gradIn[i] = gi
 	}
-	return gradIn
+	nn.MatMulAdd(gi, du, g.w1.Data, true)
+	return gi
+}
+
+// BackwardParamsT implements nn.ParamBackwarder: the parameter gradients
+// of BackwardT without the input gradient (TNet's root layer).
+func (g *FeatureGate) BackwardParamsT(gradOut *nn.Tensor) { g.backward(gradOut) }
+
+// backward accumulates db, dW2 and dW1 and returns du.
+func (g *FeatureGate) backward(gradOut *nn.Tensor) *nn.Tensor {
+	rows := gradOut.Rows()
+	// dL/dz_k = g_k·x_k·s_k(1-s_k), summed into db row by row.
+	dz := g.dz.Reset(rows, g.Dim)
+	for i := 0; i < rows; i++ {
+		gr, x, s, d := gradOut.Row(i), g.input.Row(i), g.sig.Row(i), dz.Row(i)
+		for k := range d {
+			d[k] = gr[k] * x[k] * s[k] * (1 - s[k])
+			g.b.Grad[k] += d[k]
+		}
+	}
+	// du = W2ᵀ·dz; dW2[k][m] += dz_k·u_m; dW1[m][j] += du_m·x_j.
+	du := g.du.ZeroReset(rows, g.Rank)
+	nn.MatMulAdd(du, dz, g.w2.Data, true)
+	nn.MatMulAddTN(g.w2.Grad, dz, &g.u, true)
+	nn.MatMulAddTN(g.w1.Grad, du, g.input, true)
+	return du
+}
+
+// transpose writes the cols×rows transpose of the row-major rows×cols
+// matrix src into dst.
+func transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
 }
 
 // Params returns the gate weights.
@@ -200,5 +237,5 @@ func (t *TNet) PredictProba(x [][]float64) ([][]float64, error) {
 	if t.net == nil {
 		return nil, ErrNotFitted
 	}
-	return softmaxForward(t.net, x, t.in)
+	return predictSoftmax(t.net, x, t.in)
 }

@@ -9,23 +9,41 @@ var hasAVX = cpuHasAVX()
 // cpuHasAVX is implemented in dense_kernel_amd64.s via CPUID/XGETBV.
 func cpuHasAVX() bool
 
-// axpy4avx and axpy1avx are the AVX forms of axpy4Go/axpy1Go. They use
-// VMULPD/VADDPD (and their scalar VEX forms for the length tail), which
-// round each lane exactly like the scalar Go code — no FMA — so results
-// are bit-identical to the portable kernels.
+// axpy1avx is the AVX form of axpy1Go. It uses VMULPD/VADDPD (and their
+// scalar VEX forms for the length tail), which round each lane exactly
+// like the scalar Go code — no FMA — so results are bit-identical to the
+// portable kernel.
 //
-//go:noescape
-func axpy4avx(v *[4]float64, w, o0, o1, o2, o3 *float64, n int)
-
 //go:noescape
 func axpy1avx(v float64, w, o *float64, n int)
 
-func axpy4(v *[4]float64, w, o0, o1, o2, o3 []float64) {
-	if simdActive && len(w) > 0 {
-		axpy4avx(v, &w[0], &o0[0], &o1[0], &o2[0], &o3[0], len(w))
+// gemmaccavx and dotrowsavx are the AVX tile kernels (see gemmAccGo and
+// dotRowsGo for their definitions); adamavx is the vectorised Adam update
+// (see vadamGo). The slice wrappers below are bound through the dispatch
+// table; bounds are checked by the callers (gemmAcc, dotRows, Adam.Step).
+//
+//go:noescape
+func gemmaccavx(c *float64, ldc int, a *float64, ars, ats int, b *float64, ldb, m, n, k int) bool
+
+//go:noescape
+func dotrowsavx(out, a, b *float64, ldb, nj, n int)
+
+func gemmAccAVX(c []float64, ldc int, a []float64, ars, ats int, b []float64, ldb, m, n, k int) bool {
+	if k == 0 {
+		// No terms: only the NaN report is needed, and a/b may be empty.
+		return gemmAccGo(c, ldc, a, ars, ats, b, ldb, m, n, 0)
+	}
+	return gemmaccavx(&c[0], ldc, &a[0], ars, ats, &b[0], ldb, m, n, k)
+}
+
+func dotRowsAVX(out, a, b []float64, ldb int) {
+	if len(a) == 0 {
+		for j := range out {
+			out[j] = 0
+		}
 		return
 	}
-	axpy4Go(v, w, o0, o1, o2, o3)
+	dotrowsavx(&out[0], &a[0], &b[0], ldb, len(out), len(a))
 }
 
 func axpy1(v float64, w, o []float64) {

@@ -2,6 +2,4 @@
 
 package nn
 
-func axpy4(v *[4]float64, w, o0, o1, o2, o3 []float64) { axpy4Go(v, w, o0, o1, o2, o3) }
-
 func axpy1(v float64, w, o []float64) { axpy1Go(v, w, o) }

@@ -29,8 +29,10 @@ type InferScratch struct {
 	next int
 }
 
-// grab returns the next reusable tensor, growing the arena on first use.
-func (s *InferScratch) grab() *Tensor {
+// Grab returns the arena's next reusable tensor (contents undefined; Reset
+// it to the shape needed), growing the arena on first use. Layers outside
+// this package call it from their InferT for every buffer they need.
+func (s *InferScratch) Grab() *Tensor {
 	if s.next == len(s.bufs) {
 		s.bufs = append(s.bufs, &Tensor{})
 	}
@@ -64,7 +66,7 @@ func layerInferT(l Layer, x *Tensor, s *InferScratch) *Tensor {
 	if il, ok := l.(Inferencer); ok {
 		return il.InferT(x, s)
 	}
-	return s.grab().SetFromRows(l.Forward(x.ToRows(), false))
+	return s.Grab().SetFromRows(l.Forward(x.ToRows(), false))
 }
 
 var (
@@ -87,79 +89,18 @@ func (n *Network) InferT(x *Tensor, s *InferScratch) *Tensor {
 }
 
 // InferT implements Inferencer: the affine map of ForwardT without the
-// input cache (nothing on the layer is written).
-//
-// Rows run through a 4-way row-blocked kernel: each weight row is loaded
-// once and feeds four output rows (a quarter of the weight memory traffic
-// of four single-row passes), and the per-input rank-1 update runs through
-// the axpy kernels — AVX on capable amd64 hardware, portable Go elsewhere.
-// This is where the micro-batching throughput win comes from on
-// compute-bound generators. Each output element still accumulates its
-// terms in ascending input order with ForwardT's per-row zero skip, one
-// IEEE-rounded multiply and add per input (the vector kernels never fuse
-// them), so the result is bit-identical to the row-at-a-time eval forward.
+// input cache (nothing on the layer is written). Both run the same
+// register-blocked tile kernel through forwardInto, so the result is
+// bit-identical to the eval forward.
 func (d *Dense) InferT(x *Tensor, s *InferScratch) *Tensor {
-	out := s.grab().Reset(x.rows, d.Out)
-	if d.Out == 1 {
-		// Single-output layers follow ForwardT's Out==1 definition — one
-		// wide dot per row, no zero skip — so the bit-identity contract
-		// with the eval forward holds.
-		for i := 0; i < x.rows; i++ {
-			out.data[i] = d.b.Data[0] + vdot(x.Row(i), d.w.Data)
-		}
-		return out
-	}
-	i := 0
-	for ; i+4 <= x.rows; i += 4 {
-		x0, x1, x2, x3 := x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3)
-		o0 := out.Row(i)[:d.Out]
-		o1 := out.Row(i + 1)[:d.Out]
-		o2 := out.Row(i + 2)[:d.Out]
-		o3 := out.Row(i + 3)[:d.Out]
-		copy(o0, d.b.Data)
-		copy(o1, d.b.Data)
-		copy(o2, d.b.Data)
-		copy(o3, d.b.Data)
-		for j := 0; j < d.In; j++ {
-			wRow := d.w.Data[j*d.Out : (j+1)*d.Out]
-			v := [4]float64{x0[j], x1[j], x2[j], x3[j]}
-			if v[0] != 0 && v[1] != 0 && v[2] != 0 && v[3] != 0 {
-				axpy4(&v, wRow, o0, o1, o2, o3)
-				continue
-			}
-			// A zero input contributes no term in ForwardT (zero skip);
-			// handle mixed blocks row by row to keep that exact.
-			if v[0] != 0 {
-				axpy1(v[0], wRow, o0)
-			}
-			if v[1] != 0 {
-				axpy1(v[1], wRow, o1)
-			}
-			if v[2] != 0 {
-				axpy1(v[2], wRow, o2)
-			}
-			if v[3] != 0 {
-				axpy1(v[3], wRow, o3)
-			}
-		}
-	}
-	for ; i < x.rows; i++ {
-		row := x.Row(i)
-		o := out.Row(i)[:d.Out]
-		copy(o, d.b.Data)
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			axpy1(v, d.w.Data[j*d.Out:(j+1)*d.Out], o)
-		}
-	}
+	out := s.Grab().Reset(x.rows, d.Out)
+	d.forwardInto(x, out)
 	return out
 }
 
 // InferT implements Inferencer for elementwise activations.
 func (a *activation) InferT(x *Tensor, s *InferScratch) *Tensor {
-	out := s.grab().Reset(x.rows, x.cols)
+	out := s.Grab().Reset(x.rows, x.cols)
 	switch a.kind {
 	case actReLU:
 		vreluFwd(out.data, x.data)
@@ -180,11 +121,11 @@ func (bn *BatchNorm) InferT(x *Tensor, s *InferScratch) *Tensor {
 	// The per-column standard deviation is row-invariant: computing it
 	// once per call instead of once per row changes nothing bit-wise
 	// (every element still divides by the identical math.Sqrt value).
-	std := s.grab().Reset(1, bn.Dim).Row(0)
+	std := s.Grab().Reset(1, bn.Dim).Row(0)
 	for j := range std {
 		std[j] = math.Sqrt(bn.runningVar[j] + bn.Eps)
 	}
-	out := s.grab().Reset(n, bn.Dim)
+	out := s.Grab().Reset(n, bn.Dim)
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
 		o := out.Row(i)
@@ -206,7 +147,7 @@ func (g *GradReverse) InferT(x *Tensor, _ *InferScratch) *Tensor { return x }
 // over the same arena.
 func (sc *SkipConcat) InferT(x *Tensor, s *InferScratch) *Tensor {
 	h := layerInferT(sc.Inner, x, s)
-	out := s.grab().Reset(x.rows, h.cols+x.cols)
+	out := s.Grab().Reset(x.rows, h.cols+x.cols)
 	for i := 0; i < x.rows; i++ {
 		row := out.Row(i)
 		copy(row[:h.cols], h.Row(i))

@@ -53,6 +53,15 @@ func legacyBackward(l TensorLayer, io *legacyIO, gradOut [][]float64) [][]float6
 	return l.BackwardT(&io.grad).ToRows()
 }
 
+// ParamBackwarder is implemented by layers that can accumulate their
+// parameter gradients without producing the input gradient. A training
+// loop whose root input needs no gradient calls BackwardParamsT on the
+// root (see Network.BackwardParamsT) and skips that product entirely.
+// The accumulated parameter gradients are bit-identical to BackwardT's.
+type ParamBackwarder interface {
+	BackwardParamsT(gradOut *Tensor)
+}
+
 // LayerForwardT runs l's flat path, adapting through the slice API for
 // custom layers that do not implement TensorLayer (the compat path
 // allocates; every layer in this package takes the flat path).
@@ -84,7 +93,10 @@ type Dense struct {
 	legacy legacyIO
 }
 
-var _ TensorLayer = (*Dense)(nil)
+var (
+	_ TensorLayer     = (*Dense)(nil)
+	_ ParamBackwarder = (*Dense)(nil)
+)
 
 // NewDense creates a dense layer with He-uniform initialization.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
@@ -113,28 +125,60 @@ func (d *Dense) Forward(x [][]float64, train bool) [][]float64 {
 func (d *Dense) ForwardT(x *Tensor, _ bool) *Tensor {
 	d.input = x
 	out := d.out.Reset(x.rows, d.Out)
+	d.forwardInto(x, out)
+	return out
+}
+
+// forwardInto writes the affine map of x into out (already shaped
+// x.rows × Out). It is the one forward implementation behind ForwardT and
+// InferT. The DEFINITION for Out > 1: every output row starts from the
+// bias and adds v·W[j] for each input v ≠ 0 in ascending j, one rounded
+// multiply and one rounded add per term (the zero-skip). Single-output
+// layers (the discriminator head) are DEFINED as b + vdot(row, w), with
+// no zero-skip.
+//
+// The tile kernel adds every term, zeros included. That is exact under
+// two conditions (DESIGN.md §5f rule 5): no accumulator is ever −0 —
+// true when no bias is −0, since an IEEE sum is −0 only when both
+// addends are — and no zero input meets a non-finite weight. The first
+// is checked per call on the bias (O(Out)); the second shows itself,
+// because 0·(±Inf or NaN) is NaN and a NaN accumulator stays NaN, so
+// only rows holding a NaN are recomputed with the skipping loop.
+func (d *Dense) forwardInto(x, out *Tensor) {
 	if d.Out == 1 {
-		// Single-output layers (the discriminator head): the per-input axpy
-		// degenerates to length-1 calls, so the row product is DEFINED as
-		// one wide dot over the contiguous weight column instead —
-		// b + vdot(row, w), no zero-skip.
 		for i := 0; i < x.rows; i++ {
 			out.data[i] = d.b.Data[0] + vdot(x.Row(i), d.w.Data)
 		}
-		return out
+		return
 	}
 	for i := 0; i < x.rows; i++ {
-		row := x.Row(i)
-		o := out.Row(i)
-		copy(o, d.b.Data)
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
+		copy(out.Row(i), d.b.Data)
+	}
+	if !negZeroFree(d.b.Data) {
+		for i := 0; i < x.rows; i++ {
+			d.rowExact(x.Row(i), out.Row(i))
+		}
+		return
+	}
+	if !gemmAcc(out.data, d.Out, x.data, x.cols, 1, d.w.Data, d.Out, x.rows, d.Out, x.cols) {
+		return
+	}
+	for i := 0; i < x.rows; i++ {
+		if o := out.Row(i); !nanFree(o) {
+			copy(o, d.b.Data)
+			d.rowExact(x.Row(i), o)
+		}
+	}
+}
+
+// rowExact adds the zero-skipping terms of one input row to o, which
+// holds the bias: the reference loop of the Dense definition.
+func (d *Dense) rowExact(row, o []float64) {
+	for j, v := range row {
+		if v != 0 {
 			axpy1(v, d.w.Data[j*d.Out:(j+1)*d.Out], o)
 		}
 	}
-	return out
 }
 
 // Backward accumulates dL/dW, dL/db and returns dL/dx.
@@ -150,40 +194,41 @@ func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
 		// must read as zero, as the allocating implementation guaranteed.
 		gradIn.ZeroReset(gradOut.rows, d.In)
 	}
-	if d.Out == 1 {
-		// Single-output layers: per-input vdot/axpy calls degenerate to
-		// length-1 overhead, so the row gradients are DEFINED as wide
-		// kernels over the contiguous weight column — gi = g0·w (vscale),
-		// gw += g0·in (axpy1, no zero-skip).
-		for i := 0; i < gradOut.rows; i++ {
-			g0 := gradOut.data[i]
-			in := d.input.Row(i)
-			// Slice to the live input width so the degenerate narrow-input
-			// case keeps its zero tail, like the generic path.
-			vscale(gradIn.Row(i)[:len(in)], d.w.Data[:len(in)], g0)
-			axpy1(g0, in, d.w.Grad[:len(in)])
-			d.b.Grad[0] += g0
-		}
-		return gradIn
-	}
+	in := d.input.cols
 	for i := 0; i < gradOut.rows; i++ {
-		gRow := gradOut.Row(i)
-		in := d.input.Row(i)
-		gi := gradIn.Row(i)
-		for j, v := range in {
-			// Input gradient: the fixed-lane dot defined by vdot — the
-			// bit-level reference for this layer (see refDenseBackward).
-			gi[j] = vdot(gRow, d.w.Data[j*d.Out:(j+1)*d.Out])
-			// Weight gradient: gw[k] += v*g[k]. Skipping v == 0 is
-			// bit-neutral — the accumulator starts at +0 and +0 + (±0) = +0,
-			// so it can never be -0 and adding a zero term never changes it.
-			if v != 0 {
-				axpy1(v, gRow, d.w.Grad[j*d.Out:(j+1)*d.Out])
-			}
+		gi := gradIn.Row(i)[:in]
+		if d.Out == 1 {
+			// Single-output layers: the row gradient is DEFINED as one
+			// scalar times the weight column, gi = g0·w (vscale).
+			vscale(gi, d.w.Data[:in], gradOut.data[i])
+			continue
 		}
-		vadd(d.b.Grad, gRow)
+		// The fixed-lane dot defined by vdot — the bit-level reference
+		// for this layer (see refDenseBackward) — of the gradient row with
+		// every weight row.
+		dotRows(gi, gradOut.Row(i), d.w.Data, d.Out)
 	}
+	d.BackwardParamsT(gradOut)
 	return gradIn
+}
+
+// BackwardParamsT implements ParamBackwarder: it accumulates dL/dW and
+// dL/db exactly as BackwardT does, without producing dL/dx.
+func (d *Dense) BackwardParamsT(gradOut *Tensor) {
+	if d.Out == 1 {
+		// Single-output layers: gw += g0·in per row, DEFINED without a
+		// zero-skip.
+		MatMulAddTN(d.w.Grad, gradOut, d.input, false)
+		for _, g := range gradOut.data {
+			d.b.Grad[0] += g
+		}
+		return
+	}
+	// gw[j] += v·g for every input v ≠ 0, rows in order (the zero-skip).
+	MatMulAddTN(d.w.Grad, d.input, gradOut, true)
+	for i := 0; i < gradOut.rows; i++ {
+		vadd(d.b.Grad, gradOut.Row(i))
+	}
 }
 
 // Params returns the layer's weight and bias.

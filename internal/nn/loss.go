@@ -6,7 +6,9 @@ import (
 )
 
 // SoftmaxCE computes the mean softmax cross-entropy loss of the logits
-// against integer labels, along with the gradient w.r.t. the logits.
+// against integer labels, along with the gradient w.r.t. the logits. It is
+// the slice wrapper of SoftmaxCET (same arithmetic, freshly allocated
+// gradient rows).
 func SoftmaxCE(logits [][]float64, y []int) (float64, [][]float64, error) {
 	if len(logits) != len(y) {
 		return 0, nil, fmt.Errorf("nn: %d logit rows for %d labels", len(logits), len(y))
@@ -14,23 +16,48 @@ func SoftmaxCE(logits [][]float64, y []int) (float64, [][]float64, error) {
 	if len(logits) == 0 {
 		return 0, nil, fmt.Errorf("nn: empty batch")
 	}
-	n := float64(len(y))
-	grad := make([][]float64, len(logits))
-	var loss float64
 	for i, row := range logits {
-		if y[i] < 0 || y[i] >= len(row) {
-			return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", y[i], len(row))
+		if len(row) != len(logits[0]) {
+			return 0, nil, fmt.Errorf("nn: logit row %d has %d values, row 0 has %d", i, len(row), len(logits[0]))
 		}
-		p := Softmax(row)
-		loss += -math.Log(math.Max(p[y[i]], 1e-12))
-		g := make([]float64, len(row))
-		for j := range row {
-			g[j] = p[j] / n
-		}
-		g[y[i]] -= 1 / n
-		grad[i] = g
 	}
-	return loss / n, grad, nil
+	var lt, grad Tensor
+	lt.SetFromRows(logits)
+	loss, err := SoftmaxCET(&lt, y, &grad)
+	if err != nil {
+		return 0, nil, err
+	}
+	return loss, grad.ToRows(), nil
+}
+
+// SoftmaxCET is SoftmaxCE on the flat path: the mean softmax
+// cross-entropy of the logit rows against integer labels, with the
+// gradient w.r.t. the logits written into grad (reshaped to match) — each
+// row's softmax p computed in place, then p[j]/n, minus 1/n at the label.
+// Allocation free once grad has grown to the batch shape.
+func SoftmaxCET(logits *Tensor, y []int, grad *Tensor) (float64, error) {
+	if logits.rows != len(y) {
+		return 0, fmt.Errorf("nn: %d logit rows for %d labels", logits.rows, len(y))
+	}
+	if logits.rows == 0 {
+		return 0, fmt.Errorf("nn: empty batch")
+	}
+	n := float64(len(y))
+	grad.Reset(logits.rows, logits.cols)
+	var loss float64
+	for i, label := range y {
+		if label < 0 || label >= logits.cols {
+			return 0, fmt.Errorf("nn: label %d out of range [0,%d)", label, logits.cols)
+		}
+		g := grad.Row(i)
+		SoftmaxInto(g, logits.Row(i))
+		loss += -math.Log(math.Max(g[label], 1e-12))
+		for j := range g {
+			g[j] /= n
+		}
+		g[label] -= 1 / n
+	}
+	return loss / n, nil
 }
 
 // Softmax returns the softmax of one logit row (numerically stabilized).

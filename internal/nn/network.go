@@ -11,7 +11,10 @@ type Network struct {
 	legacy legacyIO
 }
 
-var _ TensorLayer = (*Network)(nil)
+var (
+	_ TensorLayer     = (*Network)(nil)
+	_ ParamBackwarder = (*Network)(nil)
+)
 
 // NewNetwork stacks the given layers.
 func NewNetwork(layers ...Layer) *Network {
@@ -50,6 +53,25 @@ func (n *Network) BackwardT(gradOut *Tensor) *Tensor {
 		gradOut = LayerBackwardT(n.Layers[i], gradOut)
 	}
 	return gradOut
+}
+
+// BackwardParamsT implements ParamBackwarder: the gradient runs back
+// through every layer as in BackwardT, but the first layer only
+// accumulates its parameter gradients (when it can) instead of producing
+// the input gradient nobody reads — for a classifier, the largest single
+// product of the backward pass.
+func (n *Network) BackwardParamsT(gradOut *Tensor) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		gradOut = LayerBackwardT(n.Layers[i], gradOut)
+	}
+	if pb, ok := n.Layers[0].(ParamBackwarder); ok {
+		pb.BackwardParamsT(gradOut)
+		return
+	}
+	LayerBackwardT(n.Layers[0], gradOut)
 }
 
 // Params returns all learnable parameters in layer order.

@@ -56,6 +56,7 @@ type Adam struct {
 
 	t    int
 	m, v map[*Param][]float64
+	coef adamCoef
 }
 
 var _ Optimizer = (*Adam)(nil)
@@ -78,7 +79,20 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	// The coefficients live on the optimizer: the kernel is called through
+	// the dispatch table, so a stack value would escape every step.
+	k := &o.coef
+	*k = adamCoef{
+		b1: o.Beta1, c1: 1 - o.Beta1, b2: o.Beta2, c2: 1 - o.Beta2,
+		bc1: bc1, bc2: bc2, lr: o.LR, eps: o.Eps, wd: o.WeightDecay,
+	}
+	if o.WeightDecay != 0 {
+		k.decay = 1
+	}
 	for _, p := range params {
+		if len(p.Data) == 0 {
+			continue
+		}
 		m, ok := o.m[p]
 		if !ok {
 			m = make([]float64, len(p.Data))
@@ -89,17 +103,42 @@ func (o *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.Data))
 			o.v[p] = v
 		}
-		for i := range p.Data {
-			g := p.Grad[i]
-			if o.WeightDecay != 0 {
-				g += o.WeightDecay * p.Data[i]
-			}
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			p.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
+		// The kernel reads len(p.Data) elements of every slice; m and v
+		// are sized here, Grad is checked.
+		_ = p.Grad[len(p.Data)-1]
+		vadam(p.Data, p.Grad, m, v, k)
+	}
+}
+
+// adamCoef carries one Adam step's scalars to the update kernel. The
+// layout is read by adamavx: nine float64s at 8-byte offsets, then the
+// decay flag at offset 72.
+type adamCoef struct {
+	b1, c1, b2, c2 float64 // β1, 1-β1, β2, 1-β2
+	bc1, bc2       float64 // bias corrections 1-β1ᵗ, 1-β2ᵗ
+	lr, eps, wd    float64
+	decay          uint64 // 1 when wd != 0
+}
+
+// vadamGo is the Adam update over one parameter in the historical scalar
+// evaluation order — g (+ wd·data), m = β1·m + (1-β1)·g,
+// v = β2·v + ((1-β2)·g)·g, data -= (lr·(m/bc1)) / (√(v/bc2) + eps) — and
+// clears the gradient. Hoisting the loop-invariant 1-β terms reuses the
+// identical values, so bits match the per-element expression.
+func vadamGo(data, grad, m, v []float64, k *adamCoef) {
+	grad = grad[:len(data)]
+	m = m[:len(data)]
+	v = v[:len(data)]
+	for i := range data {
+		g := grad[i]
+		if k.decay != 0 {
+			g += k.wd * data[i]
 		}
-		p.ZeroGrad()
+		m[i] = k.b1*m[i] + k.c1*g
+		v[i] = k.b2*v[i] + k.c2*g*g
+		mHat := m[i] / k.bc1
+		vHat := v[i] / k.bc2
+		data[i] -= k.lr * mHat / (math.Sqrt(vHat) + k.eps)
+		grad[i] = 0
 	}
 }

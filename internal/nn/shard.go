@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"netdrift/internal/par"
+	"netdrift/internal/splitmix"
 )
 
 // ShardedNet runs one network as a fixed set of gradient-shard replicas for
@@ -191,10 +192,7 @@ func cloneForShard(l Layer, canonical bool) Layer {
 // mixSeed derives a decorrelated seed from (base, i) with a splitmix64
 // finalizer — the same construction core uses for per-sample seeds.
 func mixSeed(base int64, i int) int64 {
-	z := uint64(base) + uint64(i+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(splitmix.Mix(uint64(base) + uint64(i+1)*splitmix.Gamma))
 }
 
 // splitMix64Source is a rand.Source64 over the splitmix64 generator. Unlike
@@ -206,11 +204,8 @@ type splitMix64Source struct{ state uint64 }
 func (s *splitMix64Source) Seed(seed int64) { s.state = uint64(seed) }
 
 func (s *splitMix64Source) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	s.state += splitmix.Gamma
+	return splitmix.Mix(s.state)
 }
 
 func (s *splitMix64Source) Int63() int64 { return int64(s.Uint64() >> 1) }

@@ -54,6 +54,9 @@ func vsumavx(x *float64, n int) float64
 //go:noescape
 func vmseavx(grad, pred, target *float64, n int) float64
 
+//go:noescape
+func adamavx(data, grad, m, v *float64, k *adamCoef, n int)
+
 // Slice wrappers. All kernels take equal-length slices (the length of the
 // first operand is the element count, as in the Go twins).
 
@@ -155,6 +158,13 @@ func vmseAVX(grad, pred, target []float64) float64 {
 	return vmseavx(&grad[0], &pred[0], &target[0], len(grad))
 }
 
+func vadamAVX(data, grad, m, v []float64, k *adamCoef) {
+	if len(data) == 0 {
+		return
+	}
+	adamavx(&data[0], &grad[0], &m[0], &v[0], k, len(data))
+}
+
 func bindGoKernels() {
 	vadd = vaddGo
 	vmulAdd = vmulAddGo
@@ -170,6 +180,9 @@ func bindGoKernels() {
 	vscale = vscaleGo
 	vsum = vsumGo
 	vmse = vmseGo
+	vgemm = gemmAccGo
+	vdotRows = dotRowsGo
+	vadam = vadamGo
 }
 
 func bindAVXKernels() {
@@ -187,6 +200,9 @@ func bindAVXKernels() {
 	vscale = vscaleAVX
 	vsum = vsumAVX
 	vmse = vmseAVX
+	vgemm = gemmAccAVX
+	vdotRows = dotRowsAVX
+	vadam = vadamAVX
 }
 
 // SetVectorKernels binds the AVX kernel set (on=true, when the hardware

@@ -660,3 +660,109 @@ msedone:
 	VMOVSD X0, ret+32(FP)
 	VZEROUPPER
 	RET
+
+// func adamavx(data, grad, m, v *float64, k *adamCoef, n int)
+//
+// One Adam update in the scalar loop's evaluation order (see vadamGo):
+// g (+ wd·data when decay is on), m = b1·m + c1·g, v = b2·v + (c2·g)·g,
+// data -= (lr·(m/bc1)) / (sqrt(v/bc2) + eps), grad = 0. VDIVPD and
+// VSQRTPD are correctly rounded, so every lane matches DIVSD/SQRTSD.
+TEXT ·adamavx(SB), NOSPLIT, $0-48
+	MOVQ data+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ k+32(FP), AX
+	MOVQ n+40(FP), CX
+
+	VBROADCASTSD 0(AX), Y7   // b1
+	VBROADCASTSD 8(AX), Y8   // c1 = 1-b1
+	VBROADCASTSD 16(AX), Y9  // b2
+	VBROADCASTSD 24(AX), Y10 // c2 = 1-b2
+	VBROADCASTSD 32(AX), Y11 // bc1
+	VBROADCASTSD 40(AX), Y12 // bc2
+	VBROADCASTSD 48(AX), Y13 // lr
+	VBROADCASTSD 56(AX), Y14 // eps
+	VBROADCASTSD 64(AX), Y15 // wd
+	MOVQ         72(AX), BX  // decay flag
+	VXORPD       Y6, Y6, Y6
+
+	MOVQ CX, DX
+	SHRQ $2, DX
+	JZ   adamtail
+
+adamloop:
+	VMOVUPD (SI), Y0
+	TESTQ   BX, BX
+	JZ      adamnodecay
+	VMULPD  (DI), Y15, Y1
+	VADDPD  Y1, Y0, Y0
+
+adamnodecay:
+	VMULPD  (R8), Y7, Y1
+	VMULPD  Y0, Y8, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (R8)
+	VMULPD  (R9), Y9, Y3
+	VMULPD  Y0, Y10, Y4
+	VMULPD  Y0, Y4, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (R9)
+	VDIVPD  Y11, Y1, Y1
+	VDIVPD  Y12, Y3, Y3
+	VSQRTPD Y3, Y3
+	VADDPD  Y14, Y3, Y3
+	VMULPD  Y1, Y13, Y1
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)
+	VMOVUPD Y6, (SI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    DX
+	JNZ     adamloop
+
+adamtail:
+	ANDQ $3, CX
+	JZ   adamdone
+
+adamtailloop:
+	VMOVSD (SI), X0
+	TESTQ  BX, BX
+	JZ     adamtailnodecay
+	VMULSD (DI), X15, X1
+	VADDSD X1, X0, X0
+
+adamtailnodecay:
+	VMULSD  (R8), X7, X1
+	VMULSD  X0, X8, X2
+	VADDSD  X2, X1, X1
+	VMOVSD  X1, (R8)
+	VMULSD  (R9), X9, X3
+	VMULSD  X0, X10, X4
+	VMULSD  X0, X4, X4
+	VADDSD  X4, X3, X3
+	VMOVSD  X3, (R9)
+	VDIVSD  X11, X1, X1
+	VDIVSD  X12, X3, X3
+	VSQRTSD X3, X3, X3
+	VADDSD  X14, X3, X3
+	VMULSD  X1, X13, X1
+	VDIVSD  X3, X1, X1
+	VMOVSD  (DI), X5
+	VSUBSD  X1, X5, X5
+	VMOVSD  X5, (DI)
+	VMOVSD  X6, (SI)
+	ADDQ    $8, DI
+	ADDQ    $8, SI
+	ADDQ    $8, R8
+	ADDQ    $8, R9
+	DECQ    CX
+	JNZ     adamtailloop
+
+adamdone:
+	VZEROUPPER
+	RET

@@ -39,7 +39,13 @@ var (
 	vscale     func(dst, x []float64, s float64)                        = vscaleGo
 	vsum       func(x []float64) float64                                = vsumGo
 	vmse       func(grad, pred, target []float64) float64               = vmseGo
+	vdotRows   func(out, a, b []float64, ldb int)                       = dotRowsGo
+	vadam      func(data, grad, m, v []float64, k *adamCoef)            = vadamGo
+	vgemm      gemmFunc                                                 = gemmAccGo
 )
+
+// gemmFunc is the signature of the Dense tile kernel (see gemmAccGo).
+type gemmFunc func(c []float64, ldc int, a []float64, ars, ats int, b []float64, ldb, m, n, k int) bool
 
 // vaddGo accumulates dst[i] += x[i] — BatchNorm column sums, bias
 // gradients, and the fixed-shape gradient tree reduction.

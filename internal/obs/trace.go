@@ -4,6 +4,8 @@ import (
 	"os"
 	"sync/atomic"
 	"time"
+
+	"netdrift/internal/splitmix"
 )
 
 // traceState is the process-wide trace-ID generator state: a splitmix64
@@ -21,10 +23,7 @@ const hexDigits = "0123456789abcdef"
 // MintTraceID returns a fresh 16-hex-character trace ID. Safe for
 // concurrent use; one string allocation per call.
 func MintTraceID() string {
-	z := traceState.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := splitmix.Mix(traceState.Add(splitmix.Gamma))
 	var b [16]byte
 	for i := 15; i >= 0; i-- {
 		b[i] = hexDigits[z&0xf]
