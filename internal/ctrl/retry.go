@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"netdrift/internal/backoff"
 )
 
 // RetryConfig bounds one retried controller operation (refit, promote,
@@ -41,14 +43,7 @@ func (c RetryConfig) withDefaults() RetryConfig {
 // backoff returns the jittered wait before attempt n+1 (n is the number of
 // failures so far, 1-based).
 func (c RetryConfig) backoff(n int, rng *rand.Rand) time.Duration {
-	d := c.BaseBackoff
-	for i := 1; i < n && d < c.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > c.MaxBackoff {
-		d = c.MaxBackoff
-	}
-	return time.Duration(float64(d) * (0.5 + rng.Float64()))
+	return backoff.Jittered(c.BaseBackoff, c.MaxBackoff, n, rng)
 }
 
 // errAttemptTimeout marks an attempt abandoned by AttemptTimeout.

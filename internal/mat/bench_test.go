@@ -39,3 +39,29 @@ func BenchmarkCovariance(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecomp times the CMT/CORAL-sized (442×442) inverse and
+// Cholesky factorization.
+func BenchmarkDecomp(b *testing.B) {
+	const n = 442
+	x := seededMatrix(n+8, n, 4)
+	cov, err := Covariance(x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("InverseInto", func(b *testing.B) {
+		var ident, aw, bw, inv Matrix
+		for i := 0; i < b.N; i++ {
+			if _, err := InverseInto(cov, &ident, &aw, &bw, &inv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Cholesky", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Cholesky(cov); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

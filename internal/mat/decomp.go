@@ -30,13 +30,14 @@ func SolveInto(a, b, aw, bw, x *Matrix) (*Matrix, error) {
 	// Augmented working copies.
 	aw.CopyFrom(a)
 	bw.CopyFrom(b)
+	nb := bw.cols
 
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		pivot := col
-		maxAbs := math.Abs(aw.At(col, col))
+		maxAbs := math.Abs(aw.data[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(aw.At(r, col)); v > maxAbs {
+			if v := math.Abs(aw.data[r*n+col]); v > maxAbs {
 				maxAbs = v
 				pivot = r
 			}
@@ -48,31 +49,42 @@ func SolveInto(a, b, aw, bw, x *Matrix) (*Matrix, error) {
 			swapRows(aw, pivot, col)
 			swapRows(bw, pivot, col)
 		}
-		// Eliminate below.
-		pivVal := aw.At(col, col)
+		// Eliminate below: row r −= factor × pivot row, on both sides.
+		pa := aw.data[col*n+col : (col+1)*n]
+		pb := bw.data[col*nb : (col+1)*nb]
+		pivVal := pa[0]
 		for r := col + 1; r < n; r++ {
-			factor := aw.At(r, col) / pivVal
+			ra := aw.data[r*n+col : (r+1)*n]
+			factor := ra[0] / pivVal
 			if factor == 0 {
 				continue
 			}
-			for c := col; c < n; c++ {
-				aw.Set(r, c, aw.At(r, c)-factor*aw.At(col, c))
+			for c, v := range pa {
+				ra[c] -= factor * v
 			}
-			for c := 0; c < bw.cols; c++ {
-				bw.Set(r, c, bw.At(r, c)-factor*bw.At(col, c))
+			rb := bw.data[r*nb : (r+1)*nb]
+			for c, v := range pb {
+				rb[c] -= factor * v
 			}
 		}
 	}
-	// Back substitution (every x entry is written before it is read, so the
-	// workspace needs no zeroing).
-	x.Reset(n, bw.cols)
-	for c := 0; c < bw.cols; c++ {
-		for r := n - 1; r >= 0; r-- {
-			s := bw.At(r, c)
-			for k := r + 1; k < n; k++ {
-				s -= aw.At(r, k) * x.At(k, c)
+	// Back substitution, row by row: x[r][c] = (bw[r][c] − Σ_k aw[r][k]·
+	// x[k][c]) / aw[r][r], subtracting in increasing k for every element.
+	// Row r of x accumulates in place: it is written before it is read,
+	// so the workspace needs no zeroing.
+	x.Reset(n, nb)
+	for r := n - 1; r >= 0; r-- {
+		ar := aw.data[r*n : (r+1)*n]
+		xr := x.data[r*nb : (r+1)*nb]
+		copy(xr, bw.data[r*nb:(r+1)*nb])
+		for k := r + 1; k < n; k++ {
+			akr := ar[k]
+			for c, v := range x.data[k*nb : (k+1)*nb] {
+				xr[c] -= akr * v
 			}
-			x.Set(r, c, s/aw.At(r, r))
+		}
+		for c := range xr {
+			xr[c] /= ar[r]
 		}
 	}
 	return x, nil
@@ -114,19 +126,21 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	n := a.rows
 	l := New(n, n)
 	for i := 0; i < n; i++ {
+		li := l.data[i*n : (i+1)*n]
 		for j := 0; j <= i; j++ {
+			lj := l.data[j*n : (j+1)*n]
 			var s float64
-			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
+			for k, v := range li[:j] {
+				s += v * lj[k]
 			}
 			if i == j {
-				d := a.At(i, i) - s
+				d := a.data[i*n+i] - s
 				if d <= 0 {
 					return nil, fmt.Errorf("%w: leading minor %d", ErrNotPD, i)
 				}
-				l.Set(i, j, math.Sqrt(d))
+				li[j] = math.Sqrt(d)
 			} else {
-				l.Set(i, j, (a.At(i, j)-s)/l.At(j, j))
+				li[j] = (a.data[i*n+j] - s) / lj[j]
 			}
 		}
 	}

@@ -91,3 +91,47 @@ func TestNeuralFitPredictGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeFitPredictGolden pins RF and XGB PredictProba bits after Fit to
+// digests recorded before the rank-keyed forest split search and the
+// round-shared boosted-tree root segments existed. Every third feature is
+// quantized so the split searches meet long runs of tied values, next to
+// the planted zeros and the −0 of goldenFitData.
+func TestTreeFitPredictGolden(t *testing.T) {
+	cases := []struct {
+		name       string
+		kind       Kind
+		n, d, k    int
+		trees      int
+		wantDigest uint64
+	}{
+		{"RF/12x4", KindRF, 163, 12, 4, 10, 0x53575f88eb5eb3a2},
+		{"RF/442x16", KindRF, 240, 442, 16, 6, 0x6beb65ec11ffdcf3},
+		{"XGB/12x4", KindXGB, 163, 12, 4, 10, 0xd082b991c320db46},
+		{"XGB/442x16", KindXGB, 240, 442, 16, 4, 0x809218cbf1474f4b},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			x, y, probe := goldenFitData(tc.n, tc.d, tc.k, int64(tc.d))
+			for _, row := range x {
+				for j := 0; j < len(row); j += 3 {
+					row[j] = math.Round(row[j]*2) / 2
+				}
+			}
+			c, err := New(tc.kind, Options{Seed: 11, Trees: tc.trees})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Fit(x, y, tc.k); err != nil {
+				t.Fatal(err)
+			}
+			p, err := c.PredictProba(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := probaHash(p); got != tc.wantDigest {
+				t.Errorf("probability digest %#x, want %#x (p[0] = %v)", got, tc.wantDigest, p[0])
+			}
+		})
+	}
+}

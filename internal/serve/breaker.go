@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"netdrift/internal/backoff"
 	"netdrift/internal/obs"
 )
 
@@ -153,12 +154,7 @@ func (b *Breaker) Fail() {
 	}
 	// Trip: exponential backoff with multiplicative jitter in [0.5, 1.5).
 	b.trips++
-	backoff := b.cfg.BaseBackoff << (b.trips - 1)
-	if backoff > b.cfg.MaxBackoff || backoff <= 0 {
-		backoff = b.cfg.MaxBackoff
-	}
-	backoff = time.Duration(float64(backoff) * (0.5 + b.rng.Float64()))
-	b.openUntil = b.now().Add(backoff)
+	b.openUntil = b.now().Add(backoff.Jittered(b.cfg.BaseBackoff, b.cfg.MaxBackoff, b.trips, b.rng))
 	b.fails, b.probing = 0, false
 	b.transition(BreakerOpen)
 	b.mu.Unlock()

@@ -61,8 +61,15 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 		return nil, fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
 	}
 	cfg.applyDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	if len(x) <= 1<<16 {
+		return fitBoosting[uint32](x, y, numClasses, cfg), nil
+	}
+	return fitBoosting[uint64](x, y, numClasses, cfg), nil
+}
 
+// fitBoosting trains the ensemble with K-wide column-segment keys.
+func fitBoosting[K segKey](x [][]float64, y []int, numClasses int, cfg BoostConfig) *GradientBoosting {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := len(x)
 	gb := &GradientBoosting{lr: cfg.LearningRate, numClasses: numClasses}
 	// Raw scores per sample per class.
@@ -78,10 +85,11 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 		hess[c] = make([]float64, n)
 	}
 
-	// Presort every feature once; each tree filters these orders to its
-	// round's rows and then partitions them per node (see fitRegressionTree).
+	// Presort every feature once; each round filters these orders to its
+	// rows, and each tree partitions them per node (see fitRegressionTree).
 	presorted := presortColumns(x)
-	scratch := newBoostScratch(n, len(x[0]), cfg)
+	bounds := presortBounds(x, presorted)
+	scratch := newBoostScratch[K](n, len(x[0]), cfg)
 	treeRng := rand.New(rand.NewSource(0))
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -110,15 +118,13 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 		}
 		// Row subsample shared by the round.
 		rows := subsampleRows(n, cfg.Subsample, rng)
-		for _, i := range rows {
-			scratch.inRound[i] = true
-		}
+		scratch.filterRound(presorted, bounds, rows)
 		roundTrees := make([]*regressionTree, numClasses)
 		for c := 0; c < numClasses; c++ {
 			// Re-seeding one Rand yields the same stream as a fresh
 			// rand.New(rand.NewSource(seed)) without its allocation.
 			treeRng.Seed(rng.Int63())
-			rt := fitRegressionTree(x, presorted, grads[c], hess[c], rows, regTreeConfig{
+			rt := fitRegressionTree(x, grads[c], hess[c], rows, regTreeConfig{
 				maxDepth:     cfg.MaxDepth,
 				lambda:       cfg.Lambda,
 				colSample:    cfg.ColSample,
@@ -130,12 +136,9 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 				scores[i][c] += cfg.LearningRate * rt.predict(x[i])
 			}
 		}
-		for _, i := range rows {
-			scratch.inRound[i] = false
-		}
 		gb.trees = append(gb.trees, roundTrees)
 	}
-	return gb, nil
+	return gb
 }
 
 func subsampleRows(n int, frac float64, rng *rand.Rand) []int {
@@ -211,17 +214,19 @@ type regTreeConfig struct {
 }
 
 // presortColumns returns, for each feature, the row indices ordered by that
-// feature's value.
+// feature's value. The order of tied rows is whatever sort.Slice leaves,
+// and it is part of the result: the boosted trees' gradient sums visit
+// tied rows in this order.
 func presortColumns(x [][]float64) [][]int32 {
 	n := len(x)
 	d := len(x[0])
 	out := make([][]int32, d)
+	col := make([]float64, n)
 	for f := 0; f < d; f++ {
 		idx := make([]int32, n)
 		for i := range idx {
 			idx[i] = int32(i)
 		}
-		col := make([]float64, n)
 		for i := range x {
 			col[i] = x[i][f]
 		}
@@ -231,11 +236,49 @@ func presortColumns(x [][]float64) [][]int32 {
 	return out
 }
 
+// presortBounds marks, for each feature, the positions p > 0 of its
+// presorted order whose value differs from the one before: bit p of the
+// feature's words(n)-word run. Counting the marks along a presorted order
+// gives each row its dense rank, so two rows hold equal values exactly
+// when their ranks are equal (for NaN-free columns, which sort totally).
+func presortBounds(x [][]float64, presorted [][]int32) []uint64 {
+	w := words(len(x))
+	bounds := make([]uint64, len(presorted)*w)
+	for f, order := range presorted {
+		bits := bounds[f*w : (f+1)*w]
+		for p := 1; p < len(order); p++ {
+			if x[order[p]][f] != x[order[p-1]][f] {
+				bits[p>>6] |= 1 << (p & 63)
+			}
+		}
+	}
+	return bounds
+}
+
+// words is the number of 64-bit words holding n bits.
+func words(n int) int { return (n + 63) / 64 }
+
+// segKey is a column-segment key: a row's dense rank in the column in the
+// high half and the row index in the low half. The rank orders the
+// segment and tells tied rows from candidate cuts without carrying the
+// float64 values. Fits of up to 65,536 rows use uint32 keys (16+16 bits),
+// larger ones uint64 (32+32).
+type segKey interface{ uint32 | uint64 }
+
+// halfBits is the width of each half of a K key.
+func halfBits[K segKey]() uint {
+	var k K
+	if uint64(^k) == math.MaxUint32 {
+		return 16
+	}
+	return 32
+}
+
 // boostScratch is the split-search working set of one FitGradientBoosting
 // call. It is sized once for the largest tree (every row of the round
 // subsample, every sampled column) and reused by every tree of every round.
-type boostScratch struct {
-	inRound []bool  // per row: in the current round's subsample
+type boostScratch[K segKey] struct {
+	inRound []uint8 // per row: 1 while filterRound runs, if in the round
 	goLeft  []uint8 // per row: 1 if it goes left of the split being partitioned
 	perm    []int   // column-sample permutation buffer
 
@@ -243,29 +286,63 @@ type boostScratch struct {
 	// are stably partitioned left-then-right, so sums over a node visit
 	// rows in the same order as the round's subsample.
 	rows, rowsTmp []int
-	// colRows/colVals hold, for the k-th sampled column, a presorted
-	// segment of m = len(rows) entries at [k*m, (k+1)*m): row indices and
-	// the matching feature values. Node segments of each are partitioned
-	// in step with rows.
-	colRows []int32
-	colVals []float64
-	tmpRows []int32
-	tmpVals []float64
+	// round holds, for every feature f, the round's rows in presorted
+	// order at [f*m, (f+1)*m), m = len(rows), plus one slack key. Every
+	// tree of the round reads its root segments here.
+	round []K
+	// segs holds, for the k-th sampled column of the current tree, its
+	// node segments below the root at [k*m, (k+1)*m); the root's
+	// partition writes them, and each later split partitions them in
+	// place.
+	segs []K
+	tmp  []K
+	// rowMask selects a key's row index; two keys' ranks differ exactly
+	// when their XOR exceeds it.
+	rowMask K
 }
 
-func newBoostScratch(n, d int, cfg BoostConfig) *boostScratch {
+func newBoostScratch[K segKey](n, d int, cfg BoostConfig) *boostScratch[K] {
 	m := subsampleSize(n, cfg.Subsample)
-	nCols := treeCols(d, cfg.ColSample)
-	return &boostScratch{
-		inRound: make([]bool, n),
+	return &boostScratch[K]{
+		inRound: make([]uint8, n),
 		goLeft:  make([]uint8, n),
 		perm:    make([]int, d),
 		rows:    make([]int, m),
 		rowsTmp: make([]int, m),
-		colRows: make([]int32, nCols*m),
-		colVals: make([]float64, nCols*m),
-		tmpRows: make([]int32, m),
-		tmpVals: make([]float64, m),
+		round:   make([]K, d*m+1),
+		segs:    make([]K, treeCols(d, cfg.ColSample)*m),
+		tmp:     make([]K, m),
+		rowMask: K(1)<<halfBits[K]() - 1,
+	}
+}
+
+// filterRound fills s.round with every feature's presorted order
+// restricted to rows, once for all the round's trees. Row r's key is
+// written at each position, and the cursor advances only past round rows
+// — branch-free, since membership is random; the key a non-member leaves
+// at the cursor is overwritten by the next member, or lands in the next
+// feature's first slot (rewritten when that feature is filtered) or in the
+// slack key after the last feature.
+func (s *boostScratch[K]) filterRound(presorted [][]int32, bounds []uint64, rows []int) {
+	for _, r := range rows {
+		s.inRound[r] = 1
+	}
+	m := len(rows)
+	w := words(len(s.inRound))
+	half := halfBits[K]()
+	for f, order := range presorted {
+		seg := s.round[f*m : f*m+m+1]
+		bits := bounds[f*w : (f+1)*w]
+		var rank K // shifted into the high half
+		j := 0
+		for p, r := range order {
+			rank += K(bits[p>>6]>>(p&63)&1) << half
+			seg[j] = rank | K(r)
+			j += int(s.inRound[r])
+		}
+	}
+	for _, r := range rows {
+		s.inRound[r] = 0
 	}
 }
 
@@ -278,55 +355,59 @@ func treeCols(d int, colSample float64) int {
 	return nCols
 }
 
-// fitRegressionTree grows one tree on the rows marked in s.inRound (rows
-// lists them in subsample order).
+// fitRegressionTree grows one tree on the round's rows (rows lists them in
+// subsample order; s.round holds the round's column segments).
 //
 // Split search runs in O(node rows × sampled columns) per node rather than
-// O(n × sampled columns): the root filters each sampled column's global
-// presorted order to the round's rows, and every split stably partitions
-// each column's node segment into left then right. By induction a node's
+// O(n × sampled columns): the round filters each column's global presorted
+// order to its rows once, and every split stably partitions each sampled
+// column's node segment into left then right. By induction a node's
 // segment is exactly the global presorted order restricted to the node's
 // rows — the order a scan of the whole presorted column that skips
 // non-members visits them in — so candidates, gradient sums and
 // tie-breaks, and therefore the trees, are bit-identical to that scan
-// (kept as the test-only reference in boost_golden_test.go).
-func fitRegressionTree(x [][]float64, presorted [][]int32, grad, hess []float64, rows []int, cfg regTreeConfig, s *boostScratch) *regressionTree {
+// (kept as the test-only reference in boost_golden_test.go). Two keys of a
+// segment hold equal values exactly when their ranks are equal, and the
+// threshold and the left/right test read the values from x, so the keys
+// need not carry them.
+func fitRegressionTree[K segKey](x [][]float64, grad, hess []float64, rows []int, cfg regTreeConfig, s *boostScratch[K]) *regressionTree {
 	t := &regressionTree{}
 	d := len(x[0])
 	cols := permInto(cfg.rng, d, s.perm)[:treeCols(d, cfg.colSample)]
 	m := len(rows)
-	for k, f := range cols {
-		segRows := s.colRows[k*m : (k+1)*m]
-		segVals := s.colVals[k*m : (k+1)*m]
-		j := 0
-		for _, r := range presorted[f] {
-			if s.inRound[r] {
-				segRows[j] = r
-				segVals[j] = x[r][f]
-				j++
-			}
-		}
-	}
 	copy(s.rows[:m], rows)
-	b := &regBuilder{
-		grad: grad, hess: hess, cfg: cfg, cols: cols, m: m, s: s, tree: t,
+	b := &regBuilder[K]{
+		x: x, grad: grad, hess: hess, cfg: cfg, cols: cols, m: m, s: s, tree: t,
 	}
 	b.build(0, m, 0)
 	return t
 }
 
-type regBuilder struct {
+type regBuilder[K segKey] struct {
+	x          [][]float64
 	grad, hess []float64
 	cfg        regTreeConfig
 	cols       []int
 	m          int // rows in the tree; the stride of the column segments
-	s          *boostScratch
+	s          *boostScratch[K]
 	tree       *regressionTree
+}
+
+// seg returns scratch positions [lo, hi) of the k-th sampled column's
+// segment for a node at depth: the root reads the round's shared segment,
+// deeper nodes the tree's own.
+func (b *regBuilder[K]) seg(k, lo, hi, depth int) []K {
+	if depth == 0 {
+		base := b.cols[k] * b.m
+		return b.s.round[base+lo : base+hi]
+	}
+	base := k * b.m
+	return b.s.segs[base+lo : base+hi]
 }
 
 // build grows the subtree over scratch positions [lo, hi) and returns its
 // node index.
-func (b *regBuilder) build(lo, hi, depth int) int {
+func (b *regBuilder[K]) build(lo, hi, depth int) int {
 	var sumG, sumH float64
 	for _, i := range b.s.rows[lo:hi] {
 		sumG += b.grad[i]
@@ -335,11 +416,11 @@ func (b *regBuilder) build(lo, hi, depth int) int {
 	if depth >= b.cfg.maxDepth || hi-lo < 2 {
 		return b.leaf(sumG, sumH)
 	}
-	k, thresh, ok := b.bestSplit(lo, hi, sumG, sumH)
+	k, thresh, ok := b.bestSplit(lo, hi, depth, sumG, sumH)
 	if !ok {
 		return b.leaf(sumG, sumH)
 	}
-	nl := b.markSides(k, lo, hi, thresh)
+	nl := b.markSides(k, lo, hi, depth, thresh)
 	if nl == 0 || nl == hi-lo {
 		return b.leaf(sumG, sumH)
 	}
@@ -356,13 +437,14 @@ func (b *regBuilder) build(lo, hi, depth int) int {
 
 // markSides records in s.goLeft which of the node's rows go left
 // (value <= thresh on the k-th sampled column) and returns their count.
-func (b *regBuilder) markSides(k, lo, hi int, thresh float64) int {
-	base := k * b.m
-	vals := b.s.colVals[base+lo : base+hi]
+func (b *regBuilder[K]) markSides(k, lo, hi, depth int, thresh float64) int {
+	f := b.cols[k]
+	mask := b.s.rowMask
 	nl := 0
-	for j, r := range b.s.colRows[base+lo : base+hi] {
+	for _, key := range b.seg(k, lo, hi, depth) {
+		r := key & mask
 		var left uint8
-		if vals[j] <= thresh {
+		if b.x[r][f] <= thresh {
 			left = 1
 		}
 		b.s.goLeft[r] = left
@@ -373,8 +455,9 @@ func (b *regBuilder) markSides(k, lo, hi int, thresh float64) int {
 
 // partition stably moves the node's left rows ahead of its right rows, in
 // rows and — unless both children are sure to be leaves, which never
-// search for a split — in every column segment.
-func (b *regBuilder) partition(lo, hi, nl, depth int) {
+// search for a split — in every column segment. At the root the segments
+// move from the round's shared table into the tree's own.
+func (b *regBuilder[K]) partition(lo, hi, nl, depth int) {
 	// The loops are branch-free — each element is written to both
 	// destinations and only the matching cursor advances — because the
 	// side of a row is unpredictable. Writing at l is safe: l never
@@ -395,28 +478,23 @@ func (b *regBuilder) partition(lo, hi, nl, depth int) {
 	if leafNext || (nl < 2 && hi-lo-nl < 2) {
 		return
 	}
-	tmpRows, tmpVals := s.tmpRows, s.tmpVals
+	tmp, mask := s.tmp, s.rowMask
 	for k := range b.cols {
-		base := k * b.m
-		rows := s.colRows[base+lo : base+hi]
-		vals := s.colVals[base+lo : base+hi]
+		src := b.seg(k, lo, hi, depth)
+		dst := s.segs[k*b.m+lo : k*b.m+hi]
 		l, r := 0, 0
-		for j, i := range rows {
-			v := vals[j]
-			g := int(goLeft[i])
-			rows[l] = i
-			vals[l] = v
-			tmpRows[r] = i
-			tmpVals[r] = v
+		for _, key := range src {
+			g := int(goLeft[key&mask])
+			dst[l] = key
+			tmp[r] = key
 			l += g
 			r += 1 - g
 		}
-		copy(rows[l:], tmpRows[:r])
-		copy(vals[l:], tmpVals[:r])
+		copy(dst[l:], tmp[:r])
 	}
 }
 
-func (b *regBuilder) leaf(sumG, sumH float64) int {
+func (b *regBuilder[K]) leaf(sumG, sumH float64) int {
 	v := -sumG / (sumH + b.cfg.lambda)
 	b.tree.nodes = append(b.tree.nodes, node{feature: -1, value: v})
 	return len(b.tree.nodes) - 1
@@ -425,40 +503,42 @@ func (b *regBuilder) leaf(sumG, sumH float64) int {
 // bestSplit maximizes the XGBoost structure gain over the node's segment
 // of each sampled column and returns the winning column's position in
 // b.cols.
-func (b *regBuilder) bestSplit(lo, hi int, sumG, sumH float64) (int, float64, bool) {
+func (b *regBuilder[K]) bestSplit(lo, hi, depth int, sumG, sumH float64) (int, float64, bool) {
 	lambda := b.cfg.lambda
 	minHess := b.cfg.minChildHess
 	parent := sumG * sumG / (sumH + lambda)
 	bestGain := 1e-9
 	bestK, bestThresh := -1, 0.0
+	mask := b.s.rowMask
 
-	for k := range b.cols {
-		base := k * b.m
-		rows := b.s.colRows[base+lo : base+hi]
-		vals := b.s.colVals[base+lo : base+hi]
+	for k, f := range b.cols {
+		seg := b.seg(k, lo, hi, depth)
+		prev := seg[0]
 		var gl, hl float64
-		for j, r := range rows {
-			if j > 0 {
-				if sumH-hl < minHess {
-					// hl never decreases (hessians are positive), so no
-					// later cut leaves the right child enough hessian.
-					break
-				}
-				// Candidate cut between the previous row and this one.
-				v, next := vals[j-1], vals[j]
-				if v != next && hl >= minHess {
-					gr := sumG - gl
-					hr := sumH - hl
-					gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent
-					if gain > bestGain {
-						bestGain = gain
-						bestK = k
-						bestThresh = (v + next) / 2
-					}
+		gl += b.grad[prev&mask]
+		hl += b.hess[prev&mask]
+		for _, key := range seg[1:] {
+			if sumH-hl < minHess {
+				// hl never decreases (hessians are positive), so no
+				// later cut leaves the right child enough hessian.
+				break
+			}
+			// Candidate cut between the previous row and this one, where
+			// their values differ.
+			if key^prev > mask && hl >= minHess {
+				gr := sumG - gl
+				hr := sumH - hl
+				gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent
+				if gain > bestGain {
+					bestGain = gain
+					bestK = k
+					bestThresh = (b.x[prev&mask][f] + b.x[key&mask][f]) / 2
 				}
 			}
+			r := key & mask
 			gl += b.grad[r]
 			hl += b.hess[r]
+			prev = key
 		}
 	}
 	return bestK, bestThresh, bestK >= 0

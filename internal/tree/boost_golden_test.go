@@ -238,7 +238,7 @@ func goldenData(n, d, k int, seed int64) ([][]float64, []int) {
 // TestBoostSplitSearchMatchesReference pins the partitioned split search
 // to the whole-column reference scan: identical node slices and bitwise-
 // identical probabilities across seeds, subsampling, column sampling,
-// depths and class counts.
+// depths, class counts, tied columns and both key widths.
 func TestBoostSplitSearchMatchesReference(t *testing.T) {
 	type tc struct {
 		classes   int
@@ -261,9 +261,18 @@ func TestBoostSplitSearchMatchesReference(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		for seed := int64(1); seed <= 3; seed++ {
+		for seed := int64(1); seed <= 4; seed++ {
 			name := fmt.Sprintf("k%d/depth%d/sub%v/col%v/hess%v/seed%d", c.classes, c.depth, c.subsample, c.colSample, c.minHess, seed)
 			x, y := goldenData(160, 9, c.classes, seed)
+			if seed == 4 {
+				// Tied columns: signed-zero tie groups in every fourth
+				// column and adjacent floats (forestData), and a
+				// two-valued column.
+				x, y = forestData(160, 9, c.classes, seed)
+				for i, row := range x {
+					row[5] = float64(i % 2)
+				}
+			}
 			cfg := BoostConfig{
 				Rounds: 4, MaxDepth: c.depth, Subsample: c.subsample,
 				ColSample: c.colSample, MinChildHess: c.minHess, Seed: seed * 31,
@@ -275,6 +284,12 @@ func TestBoostSplitSearchMatchesReference(t *testing.T) {
 			want := refFitGradientBoosting(x, y, c.classes, cfg)
 			if err := sameTrees(got, want); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			// The 64-bit keys fits of more than 65,536 rows take.
+			wcfg := cfg
+			wcfg.applyDefaults()
+			if err := sameTrees(fitBoosting[uint64](x, y, c.classes, wcfg), want); err != nil {
+				t.Fatalf("%s: wide keys: %v", name, err)
 			}
 			pg, _ := got.PredictProba(x)
 			pw, _ := want.PredictProba(x)

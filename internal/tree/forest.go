@@ -26,6 +26,9 @@ func FitRandomForest(x [][]float64, y []int, numClasses int, cfg ForestConfig) (
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("tree: %d rows, %d labels", len(x), len(y))
 	}
+	if numClasses < 2 {
+		return nil, fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
+	}
 	if cfg.NumTrees == 0 {
 		cfg.NumTrees = 100
 	}
@@ -35,60 +38,59 @@ func FitRandomForest(x [][]float64, y []int, numClasses int, cfg ForestConfig) (
 	if cfg.MinLeaf == 0 {
 		cfg.MinLeaf = 1
 	}
-	d := len(x[0])
 	if cfg.MaxFeatures == 0 {
-		cfg.MaxFeatures = int(math.Sqrt(float64(d))) + 1
+		cfg.MaxFeatures = int(math.Sqrt(float64(len(x[0])))) + 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rf := &RandomForest{numClasses: numClasses}
-	n := len(x)
-	for t := 0; t < cfg.NumTrees; t++ {
-		bx := make([][]float64, n)
-		by := make([]int, n)
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			bx[i] = x[j]
-			by[i] = y[j]
-		}
-		tr, err := FitClassificationTree(bx, by, numClasses, ClassTreeConfig{
-			MaxDepth:    cfg.MaxDepth,
-			MinLeaf:     cfg.MinLeaf,
-			MaxFeatures: cfg.MaxFeatures,
-			Rng:         rand.New(rand.NewSource(rng.Int63())),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tree %d: %w", t, err)
-		}
-		rf.trees = append(rf.trees, tr)
-	}
-	return rf, nil
+	return fitForest(x, y, numClasses, cfg, rankColumns(x, len(x) > 1<<16)), nil
 }
 
-// PredictProba averages the member trees' leaf distributions.
+// fitForest grows the forest on x's column ranks. Every tree draws its
+// bootstrap as row indices into x, so the columns are ranked once for the
+// whole forest.
+func fitForest(x [][]float64, y []int, numClasses int, cfg ForestConfig, ranks *columnRanks) *RandomForest {
+	tcfg := ClassTreeConfig{
+		MaxDepth:    cfg.MaxDepth,
+		MinLeaf:     cfg.MinLeaf,
+		MaxFeatures: cfg.MaxFeatures,
+		// Re-seeding one Rand per tree yields the same stream as a fresh
+		// rand.New(rand.NewSource(seed)) without its allocation.
+		Rng: rand.New(rand.NewSource(0)),
+	}
+	tcfg.applyDefaults(len(x[0]))
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	rf := &RandomForest{numClasses: numClasses}
+	b := newClassBuilder(x, y, numClasses, ranks)
+	n := len(x)
+	rows := make([]int32, n)
+	for t := 0; t < cfg.NumTrees; t++ {
+		for i := range rows {
+			rows[i] = int32(rng.Intn(n))
+		}
+		tcfg.Rng.Seed(rng.Int63())
+		rf.trees = append(rf.trees, b.fit(rows, tcfg))
+	}
+	return rf
+}
+
+// PredictProba averages the member trees' leaf distributions: each row
+// adds its leaf's distribution from every tree, in tree order.
 func (rf *RandomForest) PredictProba(x [][]float64) ([][]float64, error) {
 	if len(rf.trees) == 0 {
 		return nil, ErrNotTrained
 	}
+	inv := 1 / float64(len(rf.trees))
 	out := make([][]float64, len(x))
-	for i := range out {
-		out[i] = make([]float64, rf.numClasses)
-	}
-	for _, t := range rf.trees {
-		p, err := t.PredictProba(x)
-		if err != nil {
-			return nil, err
-		}
-		for i := range p {
-			for c, v := range p[i] {
-				out[i][c] += v
+	for i, row := range x {
+		p := make([]float64, rf.numClasses)
+		for _, t := range rf.trees {
+			for c, v := range t.traverse(row).dist {
+				p[c] += v
 			}
 		}
-	}
-	inv := 1 / float64(len(rf.trees))
-	for i := range out {
-		for c := range out[i] {
-			out[i][c] *= inv
+		for c := range p {
+			p[c] *= inv
 		}
+		out[i] = p
 	}
 	return out, nil
 }
