@@ -28,8 +28,9 @@ func benchBlocks(n, dInv, dVar int, seed int64) (inv, vr [][]float64, y []int) {
 	return inv, vr, y
 }
 
-// BenchmarkGANEpoch times one conditional-GAN training epoch — the
-// dominant cost of Adapter.Fit in ModeFSRecon:
+// BenchmarkGANEpoch times one conditional-GAN training epoch at a toy
+// shape (24 invariant, 12 variant features); BenchmarkGANFit below is the
+// refit shape:
 //
 //	go test -bench GANEpoch -benchtime 1x ./internal/core
 func BenchmarkGANEpoch(b *testing.B) {
@@ -38,6 +39,26 @@ func BenchmarkGANEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := NewCGAN(GANConfig{Epochs: 1, Seed: int64(i) + 1})
 		if err := g.Fit(inv, vr, y, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGANFit times a conditional-GAN fit at the drift-loop refit
+// shape: 640 rows of 372 invariant and 70 variant features, 16 classes,
+// batch 64, hidden width 256 (the default for more than 200 features),
+// 3 epochs on the sequential path:
+//
+//	go test -run '^$' -bench GANFit -benchtime 3x ./internal/core
+func BenchmarkGANFit(b *testing.B) {
+	inv, vr, y := benchBlocks(640, 372, 70, 1)
+	for i := range y {
+		y[i] = i % 16
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := NewCGAN(GANConfig{Epochs: 3, Conditional: true, Seed: int64(i) + 1})
+		if err := g.Fit(inv, vr, y, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,12 +24,14 @@ type GANConfig struct {
 	NoiseDim    int     // default from data dimension (30 / 15 in the paper)
 	Hidden      int     // default 256 (>200 features) or 128
 	Conditional bool    // condition D on the label (FS+GAN vs FS+NoCond)
-	// AnchorWeight adds a small L2 reconstruction anchor to the generator
+	// AnchorWeight weights an L2 reconstruction anchor in the generator
 	// loss. The paper trains the pure adversarial objective for 500 GPU
 	// epochs; the anchor recovers the same reconstruction fidelity within
 	// a CPU-scale epoch budget while the adversarial term still shapes the
-	// conditional distribution. Set to 0 for the pure objective.
-	AnchorWeight float64 // default 0.25
+	// conditional distribution. 0 selects the default weight 1; a negative
+	// weight turns the anchor off and trains (and reports) the pure
+	// adversarial objective.
+	AnchorWeight float64 // default 1
 	Seed         int64
 	// Shards fixes the gradient-shard count for deterministic data-parallel
 	// training; 0 or 1 selects the single-shard sequential path. The shard
@@ -92,18 +94,17 @@ type CGAN struct {
 // ganScratch holds the per-batch buffers reused across the whole training
 // run (steady-state epochs allocate nothing; see DESIGN.md §5c).
 type ganScratch struct {
-	perm     []int
-	batches  [][]int
-	bInv     nn.Tensor
-	bVar     nn.Tensor
-	bLab     nn.Tensor
-	noise    nn.Tensor
-	genIn    nn.Tensor // [bInv | noise]; held by the generator between passes
-	discIn   nn.Tensor // [bInv | var (| label)]
-	targets  []float64
-	grad     nn.Tensor // BCE gradient w.r.t. discriminator logits
-	gradFake nn.Tensor // gradient w.r.t. the generated variant block
-	gradMSE  nn.Tensor
+	perm    []int
+	batches [][]int
+	bInv    nn.Tensor
+	bVar    nn.Tensor
+	bLab    nn.Tensor
+	noise   nn.Tensor
+	genIn   nn.Tensor // [bInv | noise]; held by the generator between passes
+	discIn  nn.Tensor // [bInv | var (| label)]
+	targets []float64
+	grad    nn.Tensor // BCE gradient w.r.t. discriminator logits
+	gradMSE nn.Tensor
 }
 
 var _ Reconstructor = (*CGAN)(nil)
@@ -205,7 +206,7 @@ func (g *CGAN) Fit(inv, vr [][]float64, y []int, numClasses int) error {
 			if g.shr != nil {
 				dLoss, err = g.discStepSharded(optD, discParams)
 			} else {
-				dLoss, err = g.discStep(optD, discParams, genParams)
+				dLoss, err = g.discStep(optD, discParams)
 			}
 			if err != nil {
 				return fmt.Errorf("core: gan epoch %d: %w", epoch, err)
@@ -213,7 +214,7 @@ func (g *CGAN) Fit(inv, vr [][]float64, y []int, numClasses int) error {
 			if g.shr != nil {
 				gLoss, err = g.genStepSharded(optG, genParams)
 			} else {
-				gLoss, err = g.genStep(optG, genParams, discParams)
+				gLoss, err = g.genStep(optG, genParams)
 			}
 			if err != nil {
 				return fmt.Errorf("core: gan epoch %d: %w", epoch, err)
@@ -273,8 +274,11 @@ func (g *CGAN) discInputT(bVar *nn.Tensor) *nn.Tensor {
 
 // discStep trains D to separate real from generated variant features. It
 // returns the summed real+fake BCE loss of the step. The batch lives in
-// g.scr (bInv/bVar/bLab), gathered by Fit.
-func (g *CGAN) discStep(opt nn.Optimizer, discParams, genParams []*nn.Param) (float64, error) {
+// g.scr (bInv/bVar/bLab), gathered by Fit. Both passes accumulate D's
+// parameter gradients only: nothing reads the gradient w.r.t. D's input,
+// and no gradient reaches G, whose arena therefore stays as the last
+// Adam step left it — all zero.
+func (g *CGAN) discStep(opt nn.Optimizer, discParams []*nn.Param) (float64, error) {
 	scr := &g.scr
 	n := scr.bInv.Rows()
 	// Real pass.
@@ -284,7 +288,7 @@ func (g *CGAN) discStep(opt nn.Optimizer, discParams, genParams []*nn.Param) (fl
 	if err != nil {
 		return 0, err
 	}
-	g.disc.BackwardT(&scr.grad)
+	g.disc.BackwardParamsT(&scr.grad)
 	// Fake pass (generator output detached: we never backward into G here;
 	// the concat into discIn copies it out of the generator's scratch).
 	fake := g.generateT(&scr.bInv, true)
@@ -294,15 +298,17 @@ func (g *CGAN) discStep(opt nn.Optimizer, discParams, genParams []*nn.Param) (fl
 	if err != nil {
 		return 0, err
 	}
-	g.disc.BackwardT(&scr.grad)
+	g.disc.BackwardParamsT(&scr.grad)
 	opt.Step(discParams)
-	nn.ZeroGrads(genParams) // drop any gradient that leaked into G caches
 	return lossReal + lossFake, nil
 }
 
 // genStep trains G to fool D (plus the optional reconstruction anchor). It
 // returns the generator objective: adversarial BCE plus the weighted anchor.
-func (g *CGAN) genStep(opt nn.Optimizer, genParams, discParams []*nn.Param) (float64, error) {
+// D's backward produces only the variant columns of its input gradient and
+// no parameter gradients, so D's arena stays as discStep's Adam step left
+// it — all zero; G's backward accumulates parameter gradients only.
+func (g *CGAN) genStep(opt nn.Optimizer, genParams []*nn.Param) (float64, error) {
 	scr := &g.scr
 	n := scr.bInv.Rows()
 	fake := g.generateT(&scr.bInv, true)
@@ -312,12 +318,9 @@ func (g *CGAN) genStep(opt nn.Optimizer, genParams, discParams []*nn.Param) (flo
 	if err != nil {
 		return 0, err
 	}
-	gradDIn := g.disc.BackwardT(&scr.grad)
-	// Slice out the gradient w.r.t. the generated variant block.
-	gradFake := scr.gradFake.Reset(n, g.varDim)
-	for i := 0; i < n; i++ {
-		copy(gradFake.Row(i), gradDIn.Row(i)[g.invDim:g.invDim+g.varDim])
-	}
+	// The gradient w.r.t. the generated variant block; the anchor term is
+	// added to it in place.
+	gradFake := nn.BackwardSelT(g.disc, &scr.grad, false, g.invDim, g.invDim+g.varDim)
 	if g.cfg.AnchorWeight > 0 {
 		// fake is still the generator's live output scratch: no generator
 		// pass has run since generateT, so the anchor reads it directly.
@@ -335,9 +338,8 @@ func (g *CGAN) genStep(opt nn.Optimizer, genParams, discParams []*nn.Param) (flo
 			gf[i] += w * gm[i]
 		}
 	}
-	g.gen.BackwardT(gradFake)
+	g.gen.BackwardParamsT(gradFake)
 	opt.Step(genParams)
-	nn.ZeroGrads(discParams) // D gradients from this pass are discarded
 	return loss, nil
 }
 

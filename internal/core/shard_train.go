@@ -62,7 +62,6 @@ type ganShardScratch struct {
 	discIn           nn.Tensor
 	targets, terms   []float64
 	grad             nn.Tensor
-	gradFake         nn.Tensor
 	gradMSE          nn.Tensor
 	rng              *rand.Rand
 }
@@ -83,7 +82,6 @@ type ganShards struct {
 	// stays allocation free.
 	discBody func(int)
 	genBody  func(int)
-	zeroDisc func(int)
 }
 
 func newGANShards(g *CGAN) *ganShards {
@@ -103,7 +101,6 @@ func newGANShards(g *CGAN) *ganShards {
 	}
 	shr.discBody = g.discShardBody
 	shr.genBody = g.genShardBody
-	shr.zeroDisc = func(s int) { nn.ZeroGrads(shr.disc.Params(s)) }
 	return shr
 }
 
@@ -125,7 +122,8 @@ func (g *CGAN) discShardInput(sh *ganShardScratch, bVar *nn.Tensor) *nn.Tensor {
 }
 
 // discShardBody is shard s of the discriminator step: real and fake passes
-// accumulate into replica s's gradient arena.
+// accumulate replica s's parameter gradients only, as in the sequential
+// path.
 func (g *CGAN) discShardBody(s int) {
 	t0 := time.Now()
 	shr := g.shr
@@ -146,7 +144,7 @@ func (g *CGAN) discShardBody(s int) {
 		shr.errs[s] = err
 		return
 	}
-	nn.LayerBackwardT(dn, &sh.grad)
+	nn.BackwardSelT(dn, &sh.grad, true, 0, 0)
 	// Fake pass (generator output detached, as in the sequential path).
 	sh.rng.Seed(shardSeed(g.cfg.Seed, shr.step, phaseDiscNoise, s))
 	gaussianNoiseInto(&sh.noise, rows, g.cfg.NoiseDim, sh.rng)
@@ -158,12 +156,14 @@ func (g *CGAN) discShardBody(s int) {
 		shr.errs[s] = err
 		return
 	}
-	nn.LayerBackwardT(dn, &sh.grad)
+	nn.BackwardSelT(dn, &sh.grad, true, 0, 0)
 	shr.dReal[s], shr.dFake[s] = lossReal, lossFake
 	g.cfg.Obs.OnTrainShard(g.Name(), time.Since(t0).Seconds())
 }
 
-// genShardBody is shard s of the generator step.
+// genShardBody is shard s of the generator step. As in the sequential
+// path, D yields only the variant input-gradient columns and no parameter
+// gradients, and G accumulates parameter gradients only.
 func (g *CGAN) genShardBody(s int) {
 	t0 := time.Now()
 	shr := g.shr
@@ -186,11 +186,7 @@ func (g *CGAN) genShardBody(s int) {
 		shr.errs[s] = err
 		return
 	}
-	gradDIn := nn.LayerBackwardT(dn, &sh.grad)
-	gradFake := sh.gradFake.Reset(rows, g.varDim)
-	for i := 0; i < rows; i++ {
-		copy(gradFake.Row(i), gradDIn.Row(i)[g.invDim:g.invDim+g.varDim])
-	}
+	gradFake := nn.BackwardSelT(dn, &sh.grad, false, g.invDim, g.invDim+g.varDim)
 	if g.cfg.AnchorWeight > 0 {
 		lossMSE, err := nn.MSETN(fake, &sh.bVar, &sh.gradMSE, float64(shr.n*g.varDim))
 		if err != nil {
@@ -204,7 +200,7 @@ func (g *CGAN) genShardBody(s int) {
 		}
 		shr.gMSE[s] = lossMSE
 	}
-	nn.LayerBackwardT(gn, gradFake)
+	nn.BackwardSelT(gn, gradFake, true, 0, 0)
 	shr.gBCE[s] = lossBCE
 	g.cfg.Obs.OnTrainShard(g.Name(), time.Since(t0).Seconds())
 }
@@ -250,10 +246,6 @@ func (g *CGAN) genStepSharded(opt nn.Optimizer, genParams []*nn.Param) (float64,
 	shr.gen.ReduceGrads(g.cfg.Workers)
 	opt.Step(genParams)
 	shr.gen.FoldBatchStats()
-	// Backing the adversarial gradient through D leaked gradients into the
-	// disc arenas of every shard that ran; drop them (the sequential path's
-	// ZeroGrads(discParams), per arena).
-	par.ForEach(g.cfg.Workers, eff, shr.zeroDisc)
 	var bce, mse float64
 	for s := 0; s < eff; s++ {
 		bce += shr.gBCE[s]
@@ -339,7 +331,8 @@ func (v *VAE) shardBody(s int) {
 		shr.errs[s] = err
 		return
 	}
-	gradDecIn := nn.LayerBackwardT(shr.dec.Net(s), &sh.gradRecon)
+	// Only the z columns of the decoder's input gradient are read.
+	gradZ := nn.BackwardSelT(shr.dec.Net(s), &sh.gradRecon, true, v.invDim, v.invDim+ld)
 
 	// KL term normalized by the FULL batch, like the sequential path.
 	klNorm := v.cfg.KLWeight / float64(shr.n*ld)
@@ -348,17 +341,17 @@ func (v *VAE) shardBody(s int) {
 		enc := encOut.Row(i)
 		mu, logvar := enc[:ld], enc[ld:]
 		epsRow := sh.eps.Row(i)
-		dec := gradDecIn.Row(i)
+		dec := gradZ.Row(i)
 		ge := gradEnc.Row(i)
 		for k := 0; k < ld; k++ {
 			lv := clamp(logvar[k], -8, 8)
-			dz := dec[v.invDim+k]
+			dz := dec[k]
 			ge[k] = dz + klNorm*mu[k]
 			ge[ld+k] = dz*0.5*math.Exp(0.5*lv)*epsRow[k] +
 				klNorm*0.5*(math.Exp(lv)-1)
 		}
 	}
-	nn.LayerBackwardT(shr.enc.Net(s), gradEnc)
+	nn.BackwardSelT(shr.enc.Net(s), gradEnc, true, 0, 0)
 	shr.recon[s] = lossRecon
 	v.cfg.Obs.OnTrainShard(v.Name(), time.Since(t0).Seconds())
 }
@@ -433,7 +426,7 @@ func (a *VanillaAE) shardBody(s int) {
 		shr.errs[s] = err
 		return
 	}
-	nn.LayerBackwardT(shr.net.Net(s), &sh.grad)
+	nn.BackwardSelT(shr.net.Net(s), &sh.grad, true, 0, 0)
 	shr.loss[s] = loss
 	a.cfg.Obs.OnTrainShard(a.Name(), time.Since(t0).Seconds())
 }

@@ -222,28 +222,51 @@ func TestShardedTrainingRace(t *testing.T) {
 // epochs must not allocate per batch (DESIGN.md §5c extends to §5d). Measured
 // at Workers=1 — goroutine startup allocates by design on parallel runs.
 func TestShardedEpochAllocs(t *testing.T) {
+	checkEpochAllocs(t, "sharded gan", func(epochs int) Reconstructor {
+		return NewCGAN(GANConfig{
+			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16, NoiseDim: 4,
+			Conditional: true, Shards: 4, Workers: 1,
+		})
+	})
+}
+
+// TestSequentialEpochAllocs is the same gate, at the same budget, on the
+// sequential (Shards 1) CGAN and VAE trainers.
+func TestSequentialEpochAllocs(t *testing.T) {
+	checkEpochAllocs(t, "sequential gan", func(epochs int) Reconstructor {
+		return NewCGAN(GANConfig{
+			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16, NoiseDim: 4,
+			Conditional: true, Shards: 1,
+		})
+	})
+	checkEpochAllocs(t, "sequential vae", func(epochs int) Reconstructor {
+		return NewVAE(VAEConfig{
+			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16, LatentDim: 4, Shards: 1,
+		})
+	})
+}
+
+// checkEpochAllocs fits the reconstructor built by mk for 2 and 6 epochs and
+// fails when the difference exceeds the per-epoch budget.
+func checkEpochAllocs(t *testing.T, what string, mk func(epochs int) Reconstructor) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
 	inv, vr, y := shardTrainData(96, 4, 3, 11)
-
-	fit := func(epochs int) uint64 {
-		g := NewCGAN(GANConfig{
-			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16, NoiseDim: 4,
-			Conditional: true, Shards: 4, Workers: 1,
-		})
-		if err := g.Fit(inv, vr, y, 2); err != nil {
-			t.Fatalf("gan fit: %v", err)
+	fit := func(epochs int) {
+		if err := mk(epochs).Fit(inv, vr, y, 2); err != nil {
+			t.Fatalf("%s fit: %v", what, err)
 		}
-		return 0
 	}
 	fit(1) // warm any lazy runtime state
 	base := mallocsDuring(func() { fit(2) })
 	more := mallocsDuring(func() { fit(6) })
 	perEpoch := float64(int64(more)-int64(base)) / 4
 	// The fixed budget covers MinibatchesInto's permutation reslice and the
-	// obs epoch records; shard bodies themselves must be allocation free.
+	// obs epoch records; training steps themselves must be allocation free.
+	t.Logf("%s: %.1f objects/epoch", what, perEpoch)
 	if perEpoch > 64 {
-		t.Fatalf("sharded gan epoch allocates %.1f objects/epoch in steady state, budget 64", perEpoch)
+		t.Fatalf("%s epoch allocates %.1f objects/epoch in steady state, budget 64", what, perEpoch)
 	}
 }

@@ -193,7 +193,8 @@ func (v *VAE) step(opt nn.Optimizer, params []*nn.Param) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	gradDecIn := v.decoder.BackwardT(&scr.gradRecon)
+	// Only the z columns of the decoder's input gradient are read.
+	gradZ := nn.BackwardSelT(v.decoder, &scr.gradRecon, true, v.invDim, v.invDim+ld)
 
 	// Assemble encoder-output gradient: reconstruction path through z plus
 	// the KL term, normalized per latent unit like the MSE. encOut is still
@@ -204,18 +205,18 @@ func (v *VAE) step(opt nn.Optimizer, params []*nn.Param) (float64, error) {
 		enc := encOut.Row(i)
 		mu, logvar := enc[:ld], enc[ld:]
 		epsRow := scr.eps.Row(i)
-		dec := gradDecIn.Row(i)
+		dec := gradZ.Row(i)
 		ge := gradEnc.Row(i)
 		for k := 0; k < ld; k++ {
 			lv := clamp(logvar[k], -8, 8)
-			dz := dec[v.invDim+k]
+			dz := dec[k]
 			// dz/dmu = 1; dz/dlogvar = 0.5·exp(0.5·lv)·eps.
 			ge[k] = dz + klNorm*mu[k]                      // dKL/dmu = mu
 			ge[ld+k] = dz*0.5*math.Exp(0.5*lv)*epsRow[k] + //
 				klNorm*0.5*(math.Exp(lv)-1) // dKL/dlogvar = (exp(lv)-1)/2
 		}
 	}
-	v.encoder.BackwardT(gradEnc)
+	v.encoder.BackwardParamsT(gradEnc)
 	opt.Step(params)
 	return lossRecon, nil
 }
@@ -310,7 +311,7 @@ func (a *VanillaAE) Fit(inv, vr [][]float64, _ []int, _ int) error {
 				out := a.net.ForwardT(&a.bInv, true)
 				loss, err = nn.MSET(out, &a.bVar, &a.grad)
 				if err == nil {
-					a.net.BackwardT(&a.grad)
+					a.net.BackwardParamsT(&a.grad)
 					opt.Step(params)
 				}
 			}

@@ -58,8 +58,74 @@ func legacyBackward(l TensorLayer, io *legacyIO, gradOut [][]float64) [][]float6
 // loop whose root input needs no gradient calls BackwardParamsT on the
 // root (see Network.BackwardParamsT) and skips that product entirely.
 // The accumulated parameter gradients are bit-identical to BackwardT's.
+// For Dense, SkipConcat and Network it is BackwardSelT with params set
+// and an empty window.
 type ParamBackwarder interface {
 	BackwardParamsT(gradOut *Tensor)
+}
+
+// allCols is the window upper bound that selects every input-gradient
+// column: each layer clamps hi to its input width.
+const allCols = math.MaxInt
+
+// selectiveBackwarder is the selective backward of the layers that can
+// skip parts of it (Dense, SkipConcat, Network); see BackwardSelT.
+type selectiveBackwarder interface {
+	backwardSel(gradOut *Tensor, params bool, lo, hi int) *Tensor
+}
+
+// BackwardSelT is the selective backward pass: it runs gradOut back
+// through l, accumulates parameter gradients only when params is set,
+// and returns only columns [lo, hi) of the gradient w.r.t. l's input, as
+// a rows × (hi−lo) tensor (nil when lo ≥ hi). hi is clamped to the input
+// width. BackwardT is the case (params, every column) and BackwardParamsT
+// the case (params, no column); every result bit equals the same bit of
+// BackwardT's, because each input-gradient column and each parameter
+// gradient is computed independently of the others.
+//
+// Inside a Network every layer but the first still produces its whole
+// input gradient, which the layer below it reads. A layer that has
+// parameters but no input-only backward (BatchNorm, or a custom layer) is
+// refused with a panic when params is unset: its backward would
+// accumulate into gradients nobody asked for. A layer without a
+// selective backward cannot narrow its input gradient either; asking it
+// for a strict sub-window panics.
+//
+// The returned tensor is the layer's scratch, valid until its next call;
+// the caller may modify it in place.
+func BackwardSelT(l Layer, gradOut *Tensor, params bool, lo, hi int) *Tensor {
+	if lo < 0 || hi < lo {
+		panic(fmt.Sprintf("nn: input-gradient window [%d, %d)", lo, hi))
+	}
+	if !params && lo == hi {
+		return nil
+	}
+	if sb, ok := l.(selectiveBackwarder); ok {
+		return sb.backwardSel(gradOut, params, lo, hi)
+	}
+	if lo == hi {
+		if pb, ok := l.(ParamBackwarder); ok {
+			pb.BackwardParamsT(gradOut)
+		} else if len(l.Params()) > 0 {
+			// Parameter gradients need the full pass; the input gradient
+			// is dropped.
+			LayerBackwardT(l, gradOut)
+		}
+		return nil
+	}
+	if !params && len(l.Params()) > 0 {
+		panic(fmt.Sprintf("nn: %T has no input-only backward", l))
+	}
+	return wholeWindow(l, LayerBackwardT(l, gradOut), lo, hi)
+}
+
+// wholeWindow returns the input gradient g of l when [lo, hi) covers all
+// of its columns, and panics otherwise: l cannot produce a narrower one.
+func wholeWindow(l Layer, g *Tensor, lo, hi int) *Tensor {
+	if lo != 0 || hi < g.cols {
+		panic(fmt.Sprintf("nn: %T has no windowed input gradient (window [%d, %d) of %d columns)", l, lo, hi, g.cols))
+	}
+	return g
 }
 
 // LayerForwardT runs l's flat path, adapting through the slice API for
@@ -94,8 +160,9 @@ type Dense struct {
 }
 
 var (
-	_ TensorLayer     = (*Dense)(nil)
-	_ ParamBackwarder = (*Dense)(nil)
+	_ TensorLayer         = (*Dense)(nil)
+	_ ParamBackwarder     = (*Dense)(nil)
+	_ selectiveBackwarder = (*Dense)(nil)
 )
 
 // NewDense creates a dense layer with He-uniform initialization.
@@ -188,33 +255,59 @@ func (d *Dense) Backward(gradOut [][]float64) [][]float64 {
 
 // BackwardT accumulates dL/dW, dL/db and returns dL/dx in place.
 func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
-	gradIn := d.gradIn.Reset(gradOut.rows, d.In)
-	if d.input.cols != d.In {
-		// Degenerate narrow input: the uncovered tail of each gradient row
-		// must read as zero, as the allocating implementation guaranteed.
-		gradIn.ZeroReset(gradOut.rows, d.In)
-	}
-	in := d.input.cols
-	for i := 0; i < gradOut.rows; i++ {
-		gi := gradIn.Row(i)[:in]
-		if d.Out == 1 {
-			// Single-output layers: the row gradient is DEFINED as one
-			// scalar times the weight column, gi = g0·w (vscale).
-			vscale(gi, d.w.Data[:in], gradOut.data[i])
-			continue
-		}
-		// The fixed-lane dot defined by vdot — the bit-level reference
-		// for this layer (see refDenseBackward) — of the gradient row with
-		// every weight row.
-		dotRows(gi, gradOut.Row(i), d.w.Data, d.Out)
-	}
-	d.BackwardParamsT(gradOut)
-	return gradIn
+	return d.backwardSel(gradOut, true, 0, d.In)
 }
 
 // BackwardParamsT implements ParamBackwarder: it accumulates dL/dW and
 // dL/db exactly as BackwardT does, without producing dL/dx.
 func (d *Dense) BackwardParamsT(gradOut *Tensor) {
+	d.backwardSel(gradOut, true, 0, 0)
+}
+
+// backwardSel is the selective backward (see BackwardSelT). Column j of
+// dL/dx reads only weight row j, so a window [lo, hi) runs the same
+// per-column products over weight rows [lo, hi) and nothing else.
+func (d *Dense) backwardSel(gradOut *Tensor, params bool, lo, hi int) *Tensor {
+	var gradIn *Tensor
+	if hi = min(hi, d.In); lo < hi {
+		gradIn = d.inputGrad(gradOut, lo, hi)
+	}
+	if params {
+		d.paramGrads(gradOut)
+	}
+	return gradIn
+}
+
+// inputGrad writes columns [lo, hi) of dL/dx into the gradIn scratch.
+func (d *Dense) inputGrad(gradOut *Tensor, lo, hi int) *Tensor {
+	gradIn := d.gradIn.Reset(gradOut.rows, hi-lo)
+	in := min(d.input.cols, hi)
+	if in < hi {
+		// Degenerate narrow input: the uncovered tail of each gradient row
+		// must read as zero, as the allocating implementation guaranteed.
+		gradIn.ZeroReset(gradOut.rows, hi-lo)
+	}
+	if lo >= in {
+		return gradIn
+	}
+	for i := 0; i < gradOut.rows; i++ {
+		gi := gradIn.Row(i)[:in-lo]
+		if d.Out == 1 {
+			// Single-output layers: the row gradient is DEFINED as one
+			// scalar times the weight column, gi = g0·w (vscale).
+			vscale(gi, d.w.Data[lo:in], gradOut.data[i])
+			continue
+		}
+		// The fixed-lane dot defined by vdot — the bit-level reference
+		// for this layer (see refDenseBackward) — of the gradient row with
+		// every weight row in the window; each output is its own dot.
+		dotRows(gi, gradOut.Row(i), d.w.Data[lo*d.Out:], d.Out)
+	}
+	return gradIn
+}
+
+// paramGrads accumulates dL/dW and dL/db.
+func (d *Dense) paramGrads(gradOut *Tensor) {
 	if d.Out == 1 {
 		// Single-output layers: gw += g0·in per row, DEFINED without a
 		// zero-skip.

@@ -12,8 +12,9 @@ type Network struct {
 }
 
 var (
-	_ TensorLayer     = (*Network)(nil)
-	_ ParamBackwarder = (*Network)(nil)
+	_ TensorLayer         = (*Network)(nil)
+	_ ParamBackwarder     = (*Network)(nil)
+	_ selectiveBackwarder = (*Network)(nil)
 )
 
 // NewNetwork stacks the given layers.
@@ -49,10 +50,7 @@ func (n *Network) Backward(gradOut [][]float64) [][]float64 {
 
 // BackwardT runs the gradient back through all layers on the flat path.
 func (n *Network) BackwardT(gradOut *Tensor) *Tensor {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		gradOut = LayerBackwardT(n.Layers[i], gradOut)
-	}
-	return gradOut
+	return n.backwardSel(gradOut, true, 0, allCols)
 }
 
 // BackwardParamsT implements ParamBackwarder: the gradient runs back
@@ -61,17 +59,23 @@ func (n *Network) BackwardT(gradOut *Tensor) *Tensor {
 // the input gradient nobody reads — for a classifier, the largest single
 // product of the backward pass.
 func (n *Network) BackwardParamsT(gradOut *Tensor) {
+	n.backwardSel(gradOut, true, 0, 0)
+}
+
+// backwardSel is the selective backward (see BackwardSelT): every layer
+// but the first produces its whole input gradient for the layer below,
+// and only the first narrows it to the window.
+func (n *Network) backwardSel(gradOut *Tensor, params bool, lo, hi int) *Tensor {
 	if len(n.Layers) == 0 {
-		return
+		if lo >= hi {
+			return nil
+		}
+		return wholeWindow(n, gradOut, lo, hi)
 	}
 	for i := len(n.Layers) - 1; i > 0; i-- {
-		gradOut = LayerBackwardT(n.Layers[i], gradOut)
+		gradOut = BackwardSelT(n.Layers[i], gradOut, params, 0, allCols)
 	}
-	if pb, ok := n.Layers[0].(ParamBackwarder); ok {
-		pb.BackwardParamsT(gradOut)
-		return
-	}
-	LayerBackwardT(n.Layers[0], gradOut)
+	return BackwardSelT(n.Layers[0], gradOut, params, lo, hi)
 }
 
 // Params returns all learnable parameters in layer order.

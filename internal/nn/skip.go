@@ -15,7 +15,11 @@ type SkipConcat struct {
 	legacy  legacyIO
 }
 
-var _ TensorLayer = (*SkipConcat)(nil)
+var (
+	_ TensorLayer         = (*SkipConcat)(nil)
+	_ ParamBackwarder     = (*SkipConcat)(nil)
+	_ selectiveBackwarder = (*SkipConcat)(nil)
+)
 
 // NewSkipConcat wraps the inner layer (often a *Network).
 func NewSkipConcat(inner Layer) *SkipConcat {
@@ -51,18 +55,35 @@ func (s *SkipConcat) Backward(gradOut [][]float64) [][]float64 {
 
 // BackwardT splits the incoming gradient and sums the two input gradients.
 func (s *SkipConcat) BackwardT(gradOut *Tensor) *Tensor {
+	return s.backwardSel(gradOut, true, 0, s.inWidth)
+}
+
+// BackwardParamsT implements ParamBackwarder: the inner stack accumulates
+// its parameter gradients and neither input gradient is formed.
+func (s *SkipConcat) BackwardParamsT(gradOut *Tensor) {
+	s.backwardSel(gradOut, true, 0, 0)
+}
+
+// backwardSel is the selective backward (see BackwardSelT): the inner
+// stack produces window [lo, hi) of its input gradient, and the skip
+// path adds the same columns of the incoming gradient's tail.
+func (s *SkipConcat) backwardSel(gradOut *Tensor, params bool, lo, hi int) *Tensor {
+	hi = min(hi, s.inWidth)
 	hWidth := gradOut.cols - s.inWidth
 	gradH := s.gradH.Reset(gradOut.rows, hWidth)
 	for i := 0; i < gradOut.rows; i++ {
 		copy(gradH.Row(i), gradOut.Row(i)[:hWidth])
 	}
-	inner := LayerBackwardT(s.Inner, gradH)
-	gradIn := s.gradIn.Reset(gradOut.rows, s.inWidth)
+	inner := BackwardSelT(s.Inner, gradH, params, lo, hi)
+	if lo >= hi {
+		return nil
+	}
+	gradIn := s.gradIn.Reset(gradOut.rows, hi-lo)
 	for i := 0; i < gradOut.rows; i++ {
-		skip := gradOut.Row(i)[hWidth:]
+		skip := gradOut.Row(i)[hWidth+lo : hWidth+hi]
 		innerRow := inner.Row(i)
 		gi := gradIn.Row(i)
-		for j := 0; j < s.inWidth; j++ {
+		for j := range gi {
 			gi[j] = innerRow[j] + skip[j]
 		}
 	}
