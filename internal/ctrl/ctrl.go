@@ -59,7 +59,9 @@ func init() {
 
 // Event kinds emitted on every controller transition (obs counter
 // MetricCtrlTransitions{event=...}, flight-recorder kind "ctrl", and the
-// OnEvent callback).
+// OnEvent callback). A campaign ends with exactly one terminal event —
+// refit-fail, gate-fail, promote-fail, watch-clear or rollback — emitted
+// after the controller is back in PhaseIdle with its cooldown armed.
 const (
 	EventDriftDetected = "drift-detected"
 	EventRefitStart    = "refit-start"
@@ -68,6 +70,7 @@ const (
 	EventGatePass      = "gate-pass"
 	EventGateFail      = "gate-fail"
 	EventPromote       = "promote"
+	EventPromoteRetry  = "promote-retry"
 	EventPromoteFail   = "promote-fail"
 	EventWatchClear    = "watch-clear"
 	EventRollback      = "rollback"
@@ -402,8 +405,10 @@ func (c *Controller) Close() {
 func (c *Controller) now() time.Time { return c.cfg.Now() }
 
 // emit records one transition everywhere at once: transition counter,
-// flight-recorder event, and the OnEvent callback. May run under c.mu —
-// OnEvent must not call back into the controller.
+// flight-recorder event, and the OnEvent callback. drift-detected is
+// emitted under c.mu, so OnEvent must not call back into the controller
+// from it; terminal events run with c.mu released, so an OnEvent reading
+// Status() there sees the campaign's end state.
 func (c *Controller) emit(kind, detail string, epoch int) {
 	c.o.Counter(obs.MetricCtrlTransitions, "event", kind).Inc()
 	c.o.FlightRecord(obs.FlightKindCtrl, kind, "", detail)
@@ -530,13 +535,18 @@ func (c *Controller) loop() {
 }
 
 // endCampaign returns to idle and arms the cooldown, whatever the
-// campaign's outcome, then checkpoints.
-func (c *Controller) endCampaign() {
+// campaign's outcome, then emits the terminal event (none when kind is
+// empty) and checkpoints. Idle comes first, so a reader reacting to the
+// event never sees the campaign still running.
+func (c *Controller) endCampaign(kind, detail string, epoch int) {
 	c.mu.Lock()
 	c.phase = PhaseIdle
 	c.cooldownUntil = c.now().Add(c.cfg.Cooldown)
 	c.driftStreak = 0
 	c.mu.Unlock()
+	if kind != "" {
+		c.emit(kind, detail, epoch)
+	}
 	c.checkpoint("campaign-end")
 }
 
@@ -577,8 +587,7 @@ func (c *Controller) campaign() {
 	refitSp.End()
 	if err != nil {
 		sp.SetAttr("outcome", EventRefitFail)
-		c.emit(EventRefitFail, err.Error(), nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventRefitFail, err.Error(), nextEpoch)
 		return
 	}
 	c.o.Histogram(obs.MetricCtrlRefitSeconds).Observe(c.now().Sub(refitStart).Seconds())
@@ -602,14 +611,12 @@ func (c *Controller) campaign() {
 	}
 	if err != nil {
 		sp.SetAttr("outcome", EventGateFail)
-		c.emit(EventGateFail, "gate error: "+err.Error(), nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventGateFail, "gate error: "+err.Error(), nextEpoch)
 		return
 	}
 	if !rep.Pass {
 		sp.SetAttr("outcome", EventGateFail)
-		c.emit(EventGateFail, rep.Reason, nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventGateFail, rep.Reason, nextEpoch)
 		return
 	}
 	c.emit(EventGatePass, fmt.Sprintf("candidate=%.2f incumbent=%.2f margin=%.2f",
@@ -629,21 +636,18 @@ func (c *Controller) campaign() {
 	promoteSp.End()
 	if perr != nil {
 		sp.SetAttr("outcome", EventPromoteFail)
-		c.emit(EventPromoteFail, perr.Error(), nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventPromoteFail, perr.Error(), nextEpoch)
 		return
 	}
 
 	// Watchdog: the promotion is provisional until it survives WatchFor.
 	watchSp := sp.Child("ctrl.watch")
-	rolledBack := c.watch(prev, prevPath, nextEpoch)
+	kind, detail := c.watch(prev, prevPath)
 	watchSp.End()
-	if rolledBack {
-		sp.SetAttr("outcome", EventRollback)
-	} else {
-		sp.SetAttr("outcome", EventWatchClear)
+	if kind != "" {
+		sp.SetAttr("outcome", kind)
 	}
-	c.endCampaign()
+	c.endCampaign(kind, detail, nextEpoch)
 }
 
 // bundlePath names the promoted bundle file for an epoch.
@@ -674,7 +678,7 @@ func (c *Controller) promote(cand *Candidate, nextEpoch int, driftAt time.Time) 
 		_, err := c.cfg.Registry.LoadFile(path)
 		return err
 	}, func(n int, err error, wait time.Duration) {
-		c.emit(EventPromoteFail, fmt.Sprintf("attempt=%d err=%v backoff=%s (retrying)", n, err, wait), nextEpoch)
+		c.emit(EventPromoteRetry, fmt.Sprintf("attempt=%d err=%v backoff=%s", n, err, wait), nextEpoch)
 	})
 	if err != nil {
 		return nil, "", err
@@ -739,20 +743,21 @@ func (c *Controller) unhealthy(base watchBase) (bool, string) {
 }
 
 // watch polls serving health until the promotion earns trust (WatchFor
-// elapsed → watch-clear, the incumbent path advances, and the detector
-// rebaselines) or proves harmful (→ rollback). Returns true on rollback.
-func (c *Controller) watch(prev *serve.Bundle, prevPath string, epoch int) bool {
+// elapsed: the incumbent path advances and the detector rebaselines) or
+// proves harmful (the previous bundle is swapped back in). It returns the
+// campaign's terminal event, watch-clear or rollback, for endCampaign to
+// emit; both are empty when the controller closes mid-watch.
+func (c *Controller) watch(prev *serve.Bundle, prevPath string) (kind, detail string) {
 	base := c.serveCounts()
 	deadline := c.now().Add(c.cfg.WatchFor)
 	for {
 		select {
 		case <-c.closed:
-			return false
+			return "", ""
 		case <-time.After(c.cfg.WatchEvery):
 		}
 		if bad, why := c.unhealthy(base); bad {
-			c.rollback(prev, prevPath, why, epoch)
-			return true
+			return EventRollback, c.rollback(prev, prevPath, why)
 		}
 		if c.now().After(deadline) {
 			c.mu.Lock()
@@ -760,17 +765,17 @@ func (c *Controller) watch(prev *serve.Bundle, prevPath string, epoch int) bool 
 			c.prevBundle = nil
 			c.prevPath = ""
 			c.mu.Unlock()
-			c.emit(EventWatchClear, fmt.Sprintf("healthy for %s", c.cfg.WatchFor), epoch)
 			c.rebaseline()
-			return false
+			return EventWatchClear, fmt.Sprintf("healthy for %s", c.cfg.WatchFor)
 		}
 	}
 }
 
-// rollback swaps the retained previous bundle back in. The chaos site can
-// delay it but never deny it: if retries exhaust, the swap happens anyway
-// (Registry.Swap itself cannot fail).
-func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string, epoch int) {
+// rollback swaps the retained previous bundle back in and returns the
+// rollback event's detail. The chaos site can delay it but never deny it:
+// if retries exhaust, the swap happens anyway (Registry.Swap itself cannot
+// fail).
+func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string) string {
 	err := retryDo(c.ctx, c.cfg.Retry, c.retryRng, func(ctx context.Context) error {
 		if err := c.cfg.Faults.Fire(FaultSiteRollback); err != nil {
 			return err
@@ -791,8 +796,7 @@ func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string, epoch in
 	c.prevBundle = nil
 	c.prevPath = ""
 	c.mu.Unlock()
-	c.emit(EventRollback, detail, epoch)
-	c.checkpoint("rollback")
+	return detail
 }
 
 // rebaseline refits the detector's reference on the current window after a
@@ -848,12 +852,11 @@ func (c *Controller) ForcePromote(cand *Candidate) error {
 	}
 	prev, prevPath, err := c.promote(cand, nextEpoch, time.Time{})
 	if err != nil {
-		c.emit(EventPromoteFail, "forced: "+err.Error(), nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventPromoteFail, "forced: "+err.Error(), nextEpoch)
 		return err
 	}
-	c.watch(prev, prevPath, nextEpoch)
-	c.endCampaign()
+	kind, detail := c.watch(prev, prevPath)
+	c.endCampaign(kind, detail, nextEpoch)
 	return nil
 }
 

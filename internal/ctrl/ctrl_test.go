@@ -289,20 +289,113 @@ func TestWatchdogRollsBackOnBurn(t *testing.T) {
 	if got := h.reg.Current().ID; got != "incumbent" {
 		t.Fatalf("rollback must restore the incumbent; current = %q", got)
 	}
-	// The campaign unwinds to idle just after the rollback event; poll.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := h.ctrl.Status()
-		if st.Phase == PhaseIdle {
-			if st.Epoch != 1 {
-				t.Fatalf("post-rollback status = %+v", st)
+	// The rollback event is emitted only once the campaign is idle.
+	if st := h.ctrl.Status(); st.Phase != PhaseIdle || st.Epoch != 1 {
+		t.Fatalf("post-rollback status = %+v, want epoch 1 idle", st)
+	}
+}
+
+// terminalSnap is the controller state an OnEvent hook read at a
+// campaign's terminal event, with how often that kind had been emitted.
+type terminalSnap struct {
+	kind, detail string
+	st           StatusReport
+	emitted      float64
+}
+
+// TestTerminalEventsSeeIdle reads Status() from inside OnEvent at every
+// terminal event: whatever ended the campaign, a reader reacting to the
+// event must already see it idle with the cooldown armed. Retried steps
+// must not borrow a terminal kind, so the first terminal event is also
+// the first emission of its kind.
+func TestTerminalEventsSeeIdle(t *testing.T) {
+	terminal := map[string]bool{
+		EventRefitFail: true, EventGateFail: true, EventPromoteFail: true,
+		EventWatchClear: true, EventRollback: true,
+	}
+	failing := func(site string) func(*Config) {
+		return func(c *Config) {
+			inj := fault.New(9)
+			inj.Set(site, fault.Spec{ErrRate: 1})
+			c.Faults = inj
+		}
+	}
+	slo := obs.NewSLOSet(obs.SLO{}, time.Minute, 0, nil)
+	cases := []struct {
+		name   string
+		want   string
+		forced bool // ForcePromote instead of a drift-triggered campaign
+		mutate func(*Config)
+		after  func() // runs once the campaign has promoted
+	}{
+		{name: "watch-clear", want: EventWatchClear},
+		{name: "forced-watch-clear", want: EventWatchClear, forced: true},
+		{name: "refit-fail", want: EventRefitFail, mutate: failing(FaultSiteRefit)},
+		{name: "promote-fail", want: EventPromoteFail, mutate: failing(FaultSitePromote)},
+		{name: "gate-fail", want: EventGateFail, mutate: func(c *Config) {
+			c.Refit = func(ctx context.Context, shots *dataset.Dataset, epoch int) (*Candidate, error) {
+				return &Candidate{ID: "poison", Adapter: fix.staleAd}, nil
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign never returned to idle: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+		}},
+		{name: "rollback", want: EventRollback, mutate: func(c *Config) {
+			c.SLO = slo
+			c.MinWatchRequests = 5
+			c.WatchFor = 5 * time.Second
+		}, after: func() {
+			for i := 0; i < 50; i++ {
+				slo.Observe(serve.EndpointAdapt, 0.001, true)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snaps := make(chan terminalSnap, 16)
+			var h *harness
+			h = newHarness(t, t.TempDir(), func(c *Config) {
+				if tc.mutate != nil {
+					tc.mutate(c)
+				}
+				forward := c.OnEvent
+				c.OnEvent = func(ev Event) {
+					if terminal[ev.Kind] {
+						n, _ := h.o.Registry.Value(obs.MetricCtrlTransitions, "event", ev.Kind)
+						snaps <- terminalSnap{kind: ev.Kind, detail: ev.Detail, st: h.ctrl.Status(), emitted: n}
+					}
+					forward(ev)
+				}
+			})
+			h.ctrl.Start()
+			defer h.ctrl.Close()
+			forced := make(chan error, 1)
+			if tc.forced {
+				go func() { forced <- h.ctrl.ForcePromote(&Candidate{ID: "forced", Adapter: fix.goodAd}) }()
+			} else {
+				h.feedDrift(t, 8, 606)
+			}
+			if tc.after != nil {
+				h.waitEvent(t, EventPromote)
+				tc.after()
+			}
+			var snap terminalSnap
+			select {
+			case snap = <-snaps:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("timed out waiting for terminal event %q", tc.want)
+			}
+			if snap.kind != tc.want || snap.emitted != 1 {
+				t.Fatalf("first terminal event = %q (%s, emitted %v times), want one %q",
+					snap.kind, snap.detail, snap.emitted, tc.want)
+			}
+			if snap.st.Phase != PhaseIdle || snap.st.CooldownRemaining == "" {
+				t.Fatalf("at %s the controller reads phase %q, cooldown %q; want idle with cooldown armed",
+					snap.kind, snap.st.Phase, snap.st.CooldownRemaining)
+			}
+			if tc.forced {
+				if err := <-forced; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

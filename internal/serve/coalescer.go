@@ -41,13 +41,10 @@ var errNonFinite = errors.New("serve: non-finite value in adapted output")
 
 // Options tune the coalescer. Zero values select the defaults.
 type Options struct {
-	// MaxBatch is the flush threshold in rows: the dispatcher flushes as
-	// soon as pending requests reach this many rows. Default 32.
+	// MaxBatch caps a coalesced group in rows: while every executor is
+	// busy, a group that reaches this many rows is handed over as soon as
+	// one frees up, and later requests start the next group. Default 32.
 	MaxBatch int
-	// MaxWait bounds the queueing delay of a lone request: a pending
-	// batch is flushed this long after its first row arrived even if it
-	// is not full. Default 2ms.
-	MaxWait time.Duration
 	// Workers is the number of batch executors, each owning its private
 	// adaptation scratch. Default 1.
 	Workers int
@@ -71,9 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -118,12 +112,14 @@ type reqOutcome struct {
 	err error
 }
 
-// Coalescer fans concurrent Adapt requests into micro-batches: requests
-// accumulate until MaxBatch rows are pending or the oldest has waited
-// MaxWait, then the whole group runs as few generator forwards as possible
-// on one worker. Per-row noise seeds are derived from each request's seed
-// before batching, so responses are bit-identical to unbatched serving
-// (see core.AdaptBatch).
+// Coalescer fans concurrent Adapt requests into micro-batches. A request
+// goes to an idle executor at once; requests that arrive while every
+// executor is busy coalesce into one group of at most MaxBatch rows, which
+// the next executor to free up takes whole and runs as few generator
+// forwards as possible. Batching therefore happens only when it buys
+// throughput, and a lone request never waits on a timer. Per-row noise
+// seeds are derived from each request's seed before batching, so
+// responses are bit-identical to unbatched serving (see core.AdaptBatch).
 //
 // The resilience layer on top: admission is bounded by MaxQueue rows
 // (excess load is shed, never queued), executor panics are recovered
@@ -161,7 +157,7 @@ func NewCoalescer(reg *Registry, opts Options) *Coalescer {
 		opts:        opts,
 		reg:         reg,
 		reqCh:       make(chan *request, opts.MaxQueue),
-		workCh:      make(chan []*request, opts.Workers),
+		workCh:      make(chan []*request), // unbuffered: a send is a hand-over to a parked executor
 		execBreaker: NewBreaker("executor", opts.Breaker, opts.Obs),
 		queueDepth:  opts.Obs.Gauge(obs.MetricServeQueueDepth),
 		shed:        opts.Obs.Counter(obs.MetricServeShed),
@@ -210,19 +206,39 @@ func (c *Coalescer) Submit(ctx context.Context, rows [][]float64, seed int64, pr
 // annotate it with queue wait, batch size, and the batch span that served
 // it. The span is not ended here — the caller owns its lifecycle.
 func (c *Coalescer) SubmitTraced(ctx context.Context, rows [][]float64, seed int64, predict bool, span *obs.Span) (Result, error) {
+	req, err := c.enqueue(ctx, rows, seed, predict, span)
+	if err != nil {
+		return Result{}, err
+	}
+	// Once enqueued the request always gets an outcome (done is buffered,
+	// so the executor never blocks on an abandoned waiter), but a caller
+	// whose context dies while queued or mid-batch gets unblocked
+	// immediately.
+	select {
+	case out := <-req.done:
+		return out.res, out.err
+	case <-ctx.Done():
+		return Result{}, ctx.Err()
+	}
+}
+
+// enqueue admits rows and hands them to the dispatcher, returning once the
+// request sits in the queue; its outcome arrives on req.done.
+func (c *Coalescer) enqueue(ctx context.Context, rows [][]float64, seed int64, predict bool, span *obs.Span) (*request, error) {
 	if len(rows) == 0 {
-		return Result{}, fmt.Errorf("serve: empty request")
+		return nil, fmt.Errorf("serve: empty request")
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Result{}, ErrClosed
+		return nil, ErrClosed
 	}
 	// The submitters group covers only the enqueue: Close may not close
 	// reqCh until every accepted Submit has finished sending, but it must
 	// not wait on result delivery (results need Close's own drain flush).
 	c.submitters.Add(1)
 	c.mu.Unlock()
+	defer c.submitters.Done()
 
 	// Admission control: shed instead of queueing past MaxQueue rows. The
 	// counter is released when a worker picks the rows up (runGroup), so
@@ -230,11 +246,10 @@ func (c *Coalescer) SubmitTraced(ctx context.Context, rows [][]float64, seed int
 	n := int64(len(rows))
 	if c.queuedRows.Add(n) > int64(c.opts.MaxQueue) {
 		c.queuedRows.Add(-n)
-		c.submitters.Done()
 		c.shed.Inc()
 		c.opts.Obs.FlightRecord(obs.FlightKindShed, "coalescer", span.Trace(),
 			"queue full")
-		return Result{}, ErrOverloaded
+		return nil, ErrOverloaded
 	}
 
 	seeds := make([]int64, len(rows))
@@ -250,27 +265,13 @@ func (c *Coalescer) SubmitTraced(ctx context.Context, rows [][]float64, seed int
 		enqueued: time.Now(),
 		done:     make(chan reqOutcome, 1),
 	}
-	enqueued := false
 	select {
 	case c.reqCh <- req:
-		enqueued = true
 		c.queueDepth.Add(1)
+		return req, nil
 	case <-ctx.Done():
 		c.queuedRows.Add(-n)
-	}
-	c.submitters.Done()
-	if !enqueued {
-		return Result{}, ctx.Err()
-	}
-	// Once enqueued the request always gets an outcome (done is buffered,
-	// so the executor never blocks on an abandoned waiter), but a caller
-	// whose context dies while queued or mid-batch gets unblocked
-	// immediately.
-	select {
-	case out := <-req.done:
-		return out.res, out.err
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -291,63 +292,55 @@ func (c *Coalescer) Close() {
 	c.workers.Wait()
 }
 
-// dispatch is the single goroutine that groups requests into batches. A
-// batch flushes when its pending rows reach MaxBatch, when the oldest
-// request has waited MaxWait, or at shutdown.
+// dispatch is the single goroutine that groups requests into batches. It
+// offers its pending group on the unbuffered workCh whenever the group is
+// non-empty, so an executor parked on receive takes it at once. While every
+// executor is busy, arrivals keep coalescing; a group that reaches
+// MaxBatch rows, or that the next request would overflow, is handed over
+// with a blocking send. At shutdown the last group is flushed the same way.
 func (c *Coalescer) dispatch() {
 	defer c.dispatcher.Done()
 	var (
 		pending []*request
 		rows    int
-		timer   *time.Timer
-		timeout <-chan time.Time
 	)
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
+	handOver := func() {
 		c.workCh <- pending
-		pending = nil
-		rows = 0
-		if timer != nil {
-			timer.Stop()
-		}
-		timeout = nil
+		pending, rows = nil, 0
 	}
 	for {
+		var offer chan<- []*request // nil, so never ready, while nothing is pending
+		if len(pending) > 0 {
+			offer = c.workCh
+		}
 		select {
 		case req, ok := <-c.reqCh:
 			if !ok {
-				flush()
+				if len(pending) > 0 {
+					handOver()
+				}
 				close(c.workCh)
 				return
 			}
 			c.queueDepth.Add(-1)
-			// A request that would overflow the pending batch flushes it
-			// first; an oversized request then forms its own batch and is
-			// chunked by the executor.
+			// A request that would overflow the pending group hands it
+			// over first; an oversized request then forms its own group
+			// and is chunked by the executor.
 			if rows > 0 && rows+len(req.rows) > c.opts.MaxBatch {
-				flush()
+				handOver()
 			}
 			pending = append(pending, req)
 			rows += len(req.rows)
 			if rows >= c.opts.MaxBatch {
-				flush()
-			} else if timeout == nil {
-				if timer == nil {
-					timer = time.NewTimer(c.opts.MaxWait)
-				} else {
-					timer.Reset(c.opts.MaxWait)
-				}
-				timeout = timer.C
+				handOver()
 			}
-		case <-timeout:
-			flush()
+		case offer <- pending:
+			pending, rows = nil, 0
 		}
 	}
 }
 
-// work executes flushed batches. Each worker owns its scratch; the bundle
+// work executes handed-over groups. Each worker owns its scratch; the bundle
 // pointer is snapshotted once per batch so every response in it comes
 // wholly from one artifact even across a concurrent hot-swap.
 func (c *Coalescer) work() {

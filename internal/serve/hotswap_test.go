@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestHotSwapNoTornReads hammers the serving path from many clients while
@@ -26,7 +25,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 
 	reg := NewRegistry(nil)
 	reg.Swap(a)
-	co := NewCoalescer(reg, Options{MaxBatch: 16, MaxWait: 200 * time.Microsecond, Workers: 2})
+	co := NewCoalescer(reg, Options{MaxBatch: 16, Workers: 2})
 	defer co.Close()
 
 	stop := make(chan struct{})

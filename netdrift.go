@@ -194,7 +194,7 @@ type (
 	// Coalescer batches concurrent adaptation requests into micro-batched
 	// forward passes.
 	Coalescer = serve.Coalescer
-	// CoalescerOptions tunes batching (MaxBatch, MaxWait, Workers).
+	// CoalescerOptions tunes batching (MaxBatch, Workers) and admission.
 	CoalescerOptions = serve.Options
 )
 
